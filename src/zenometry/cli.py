@@ -150,9 +150,15 @@ def _run_fringe(cfg: ExperimentConfig, out: Path) -> dict:
     return {"per_n": per_n}
 
 
+def _bootstrap_counts(errors) -> dict:
+    return {"trials": errors.trials, "failed": errors.failed_trials}
+
+
 def _scaling_series(cfg: ExperimentConfig, model: DecayModel,
-                    subtract: bool) -> list:
+                    subtract: bool) -> tuple[list, dict]:
+    """Results per N, and the bootstrap counts per N in Monte Carlo mode."""
     results = []
+    bootstrap = {}
     for position, n in enumerate(cfg.n_values):
         v0 = _visibility_for(cfg, position)
         spec = ProbeSpec(cfg.strategy, n, v0)
@@ -171,15 +177,17 @@ def _scaling_series(cfg: ExperimentConfig, model: DecayModel,
         errors = monte_carlo_errorbar(data, t, cfg.trials,
                                       _derived_seed(cfg.seed, "scaling-mc", n, tag))
         results.append(apply_monte_carlo_errors(result, errors))
-    return results
+        bootstrap[str(n)] = _bootstrap_counts(errors)
+    return results, bootstrap
 
 
 def _run_scaling(cfg: ExperimentConfig, out: Path) -> dict:
     model = _decay_model(cfg)
     comments = _comments(cfg, "scaling")
     summary: dict = {}
+    bootstrap = {}
     for subtract, name in ((False, "raw"), (True, "subtracted")):
-        results = _scaling_series(cfg, model, subtract)
+        results, bootstrap[name] = _scaling_series(cfg, model, subtract)
         _write_csv(out / f"resolution_{name}.csv", comments,
                    SENSITIVITY_CSV_HEADER, [r.to_csv_row() for r in results])
         if len(results) >= 3:
@@ -199,6 +207,8 @@ def _run_scaling(cfg: ExperimentConfig, out: Path) -> dict:
             _write_csv(out / "bounds.csv", comments,
                        ("N", "value", "bound_sql", "bound_zl", "bound_hl",
                         "beats_sql"), rows)
+    if cfg.mode == "montecarlo":
+        summary["bootstrap"] = bootstrap
     return summary
 
 
@@ -210,22 +220,31 @@ def _run_compare(cfg: ExperimentConfig, out: Path) -> dict:
     model_ref = Markovian(cfg.markovian_rate)
     comments = _comments(cfg, "compare-markovian")
     rows = []
+    bootstrap: dict = {"test": {}, "reference": {}}
     for n in cfg.n_values:
         if cfg.mode == "analytic":
             r2 = relative_resolution(n, model_test, model_ref)
             stderr = 0.0
         else:
-            r2, stderr = _compare_montecarlo(cfg, n, model_test, model_ref)
+            r2, stderr, counts = _compare_montecarlo(cfg, n, model_test,
+                                                     model_ref)
+            for tag, entry in counts.items():
+                bootstrap[tag][str(n)] = entry
         rows.append((n, r2, stderr, math.sqrt(n)))
     _write_csv(out / "relative_resolution.csv", comments,
                ("N", "r_squared", "r_squared_stderr", "sqrt_n_reference"), rows)
-    return {"r_squared": {str(r[0]): r[1] for r in rows}}
+    summary: dict = {"r_squared": {str(r[0]): r[1] for r in rows}}
+    if cfg.mode == "montecarlo":
+        summary["bootstrap"] = bootstrap
+    return summary
 
 
 def _compare_montecarlo(cfg: ExperimentConfig, n: int, model_test: DecayModel,
-                        model_ref: Markovian) -> tuple[float, float]:
+                        model_ref: Markovian) -> tuple[float, float, dict]:
+    """Ratio and its stderr, and the bootstrap counts per series."""
     spec = ProbeSpec("ghz", n, 1.0)
     values = {}
+    counts = {}
     for tag, model in (("test", model_test), ("reference", model_ref)):
         t = optimal_time_for_probe(spec, model)
         data = sample_fringe(spec, model, t, _theta_grid(cfg, spec.fringe_frequency),
@@ -235,10 +254,11 @@ def _compare_montecarlo(cfg: ExperimentConfig, n: int, model_test: DecayModel,
         errors = monte_carlo_errorbar(data, t, cfg.trials,
                                       _derived_seed(cfg.seed, "compare-mc", n, tag))
         values[tag] = (result.d2omega_t, errors.d2omega_t)
+        counts[tag] = _bootstrap_counts(errors)
     (d2_test, err_test), (d2_ref, err_ref) = values["test"], values["reference"]
     r2 = d2_ref / d2_test
     stderr = r2 * math.sqrt((err_test / d2_test) ** 2 + (err_ref / d2_ref) ** 2)
-    return r2, stderr
+    return r2, stderr, counts
 
 
 def _run_noise_sweep(cfg: ExperimentConfig, out: Path) -> dict:

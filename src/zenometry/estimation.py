@@ -9,9 +9,11 @@ evaluated at the working point ``theta_w = pi / (2 m)`` (first odd quarter
 fringe), where ``m`` is the fringe frequency and ``R`` counts independent
 repetitions folded into one recorded fringe (1 for a GHZ probe, N for the N
 single-qubit fringes of a product probe).  The slope ``d<P>/d omega`` is
-obtained either from a cosine fit or from a five-point finite-difference
-stencil on the raw estimates; both routes are kept because they fail
-differently.
+obtained either from a cosine fit (weighted linear least squares, global
+optimum) or from a five-point finite-difference stencil on the raw
+estimates; both routes are kept because they fail differently.  The
+parametric bootstrap evaluates all of its replicas as one array computation
+over (trials, settings) with the same fit and read-out code.
 """
 
 from __future__ import annotations
@@ -46,21 +48,17 @@ __all__ = [
     "noise_subtract",
 ]
 
-_MAX_ITERATIONS = 100
-_STEP_TOLERANCE = 1e-10
 _TIME_TOLERANCE = 1e-12
 _DEGENERATE_SLOPE = 1e-9
 
 
 class FitError(RuntimeError):
-    """Fit failed to converge; carries the last iterate for diagnosis."""
+    """The cosine fit has no unique solution.
 
-    def __init__(self, message: str, last_amplitude: float | None = None,
-                 last_phase: float | None = None, iterations: int = 0) -> None:
-        super().__init__(message)
-        self.last_amplitude = last_amplitude
-        self.last_phase = last_phase
-        self.iterations = iterations
+    The fit is a linear least-squares problem with a global optimum, so it
+    fails only when its normal equations are singular, or when the fitted
+    amplitude is zero and the covariance of ``(A, phi)`` is singular.
+    """
 
 
 def working_point(fringe_frequency: int) -> float:
@@ -226,80 +224,106 @@ class FitResult:
         return float(math.sqrt(max(self.covariance[1, 1], 0.0)))
 
 
+# Failure codes of ``_fit_rows``, in the order its checks apply; code 0 is
+# success.  ``fit_fringe`` raises the matching error, the bootstrap counts it.
+_FIT_FAILURES = (
+    None,
+    (ValueError, "need at least 5 usable points to fit"),
+    (ValueError, "usable points must span at least half a period"),
+    (FitError, "normal equations are singular"),
+    (FitError, "covariance is singular at the solution"),
+)
+
+
+def _fit_rows(theta: np.ndarray, estimate: np.ndarray, stderr: np.ndarray,
+              m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form fit of ``A cos(m theta + phi)`` to every row at once.
+
+    ``estimate`` and ``stderr`` have shape (rows, settings) over the shared
+    grid ``theta``; a NaN estimate is missing.  The model equals
+    ``c cos(m theta) - s sin(m theta)``, so each row is a weighted linear
+    least-squares problem whose 2x2 normal equations are solved by Cramer's
+    rule.  Returns the canonical amplitude ``hypot(c, s)`` and phase
+    ``atan2(s, c)`` in (-pi, pi], whether the row was weighted, and its
+    failure code (an index into ``_FIT_FAILURES``).  Parameters of failed rows
+    are meaningless.
+    """
+    usable = np.isfinite(estimate)
+    count = np.count_nonzero(usable, axis=1)
+    first = theta[np.argmax(usable, axis=1)]
+    last = theta[theta.size - 1 - np.argmax(usable[:, ::-1], axis=1)]
+    short = last - first < math.pi / m - 1e-12
+    weighted = np.all(~usable | (stderr > 0.0), axis=1)
+    with np.errstate(divide="ignore"):
+        w = np.where(usable, np.where(weighted[:, None], 1.0 / stderr**2, 1.0),
+                     0.0)
+    y = np.where(usable, estimate, 0.0)
+    cos = np.cos(m * theta)
+    sin = np.sin(m * theta)
+    wc = w * cos
+    ws = w * sin
+    g_cc = np.sum(wc * cos, axis=1)
+    g_ss = np.sum(ws * sin, axis=1)
+    g_cs = np.sum(wc * sin, axis=1)
+    b_c = np.sum(wc * y, axis=1)
+    b_s = np.sum(ws * y, axis=1)
+    det = g_cc * g_ss - g_cs * g_cs
+    # Rounding alone moves det by about eps * g_cc * g_ss; below that the
+    # cosine and sine columns are collinear to working precision.
+    singular = ~(det > np.finfo(float).eps * g_cc * g_ss)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (g_ss * b_c - g_cs * b_s) / det
+        s = (g_cs * b_c - g_cc * b_s) / det
+    amplitude = np.hypot(c, s)
+    phase = np.arctan2(s, c)
+    phase = np.where(phase <= -math.pi, math.pi, phase)
+    failure = np.select([count < 5, short, singular, amplitude == 0.0],
+                        [1, 2, 3, 4], 0)
+    return amplitude, phase, weighted, failure
+
+
+def _read_working_point(amplitude, phase, m: int, theta_w: float):
+    """Fitted expectation and its d/dtheta at ``theta_w``, elementwise."""
+    arg = m * theta_w + phase
+    return amplitude * np.cos(arg), -m * amplitude * np.sin(arg)
+
+
 def fit_fringe(data: FringeDataset) -> FitResult:
     """Fit ``A cos(m theta + phi)`` to the usable points of a fringe.
 
     Inverse-variance weights when every usable point carries a positive
-    stderr, unweighted otherwise.  Gauss-Newton with the analytic Jacobian,
-    started from the largest |estimate| and the projection phase; stops when
-    the step norm drops below 1e-10, and fails (with the last iterate
-    attached) after 100 iterations.  The result is canonicalized to
-    ``A >= 0`` and ``phi`` in (-pi, pi]; the covariance is evaluated at the
-    canonical parameters, scaled by the residual variance in the unweighted
-    case.
+    stderr, unweighted otherwise.  The model is linear in
+    ``(c, s) = (A cos phi, A sin phi)``, so the fit is the exact solution of a
+    2x2 weighted linear least-squares problem: linear least squares, global
+    optimum, no iteration (``iterations`` is always 1).  The result is
+    ``A = hypot(c, s) >= 0`` and ``phi = atan2(s, c)`` in (-pi, pi]; the
+    covariance is the inverse of the Jacobian normal matrix at those
+    parameters, scaled by the residual variance in the unweighted case.
+    Raises :class:`FitError` when the normal equations or the covariance are
+    singular.
     """
+    m = data.fringe_frequency
+    amplitudes, phases, weighted_rows, failures = _fit_rows(
+        data.theta, data.estimate[None, :], data.stderr[None, :], m)
+    if failures[0]:
+        kind, message = _FIT_FAILURES[failures[0]]
+        raise kind(message)
+    amplitude = float(amplitudes[0])
+    phase = float(phases[0])
+    weighted = bool(weighted_rows[0])
+
     mask = data.usable
     theta = data.theta[mask]
     y = data.estimate[mask]
-    se = data.stderr[mask]
-    if theta.size < 5:
-        raise ValueError("need at least 5 usable points to fit")
-    m = data.fringe_frequency
-    if theta[-1] - theta[0] < math.pi / m - 1e-12:
-        raise ValueError("usable points must span at least half a period")
-    weighted = bool(np.all(se > 0.0))
-    w = 1.0 / se**2 if weighted else np.ones(theta.size)
-
-    amplitude = float(np.max(np.abs(y)))
-    if amplitude == 0.0:
-        amplitude = 1e-6
-    phase = math.atan2(-float(np.sum(y * np.sin(m * theta))),
-                       float(np.sum(y * np.cos(m * theta))))
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        arg = m * theta + phase
-        model_vals = amplitude * np.cos(arg)
-        r = y - model_vals
-        jac = np.column_stack((np.cos(arg), -amplitude * np.sin(arg)))
-        jw = jac * w[:, None]
-        hess = jac.T @ jw
-        grad = jw.T @ r
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            raise FitError("normal equations are singular", amplitude, phase,
-                           iterations) from None
-        amplitude += float(step[0])
-        phase += float(step[1])
-        if float(np.linalg.norm(step)) < _STEP_TOLERANCE:
-            converged = True
-            break
-    if not converged:
-        raise FitError(
-            f"no convergence after {_MAX_ITERATIONS} iterations",
-            amplitude, phase, iterations,
-        )
-
-    if amplitude < 0.0:
-        amplitude = -amplitude
-        phase += math.pi
-    phase = math.remainder(phase, 2.0 * math.pi)
-    if phase <= -math.pi:
-        phase = math.pi
-
+    w = 1.0 / data.stderr[mask]**2 if weighted else np.ones(theta.size)
     arg = m * theta + phase
-    fitted = amplitude * np.cos(arg)
-    residuals = y - fitted
+    residuals = y - amplitude * np.cos(arg)
     jac = np.column_stack((np.cos(arg), -amplitude * np.sin(arg)))
-    jw = jac * w[:, None]
-    hess = jac.T @ jw
+    hess = jac.T @ (jac * w[:, None])
     try:
         covariance = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
-        raise FitError("covariance is singular at the solution", amplitude,
-                       phase, iterations) from None
+        raise FitError("covariance is singular at the solution") from None
     if not weighted:
         dof = theta.size - 2
         covariance = covariance * (float(np.sum(residuals**2)) / dof)
@@ -310,9 +334,15 @@ def fit_fringe(data: FringeDataset) -> FitResult:
         phase=phase,
         covariance=covariance,
         residuals=residuals,
-        iterations=iterations,
+        iterations=1,
         weighted=weighted,
     )
+
+
+def _five_point(window: np.ndarray, h: float):
+    """Central five-point slope along the last axis of ``window``."""
+    return (-window[..., 4] + 8.0 * window[..., 3] - 8.0 * window[..., 1]
+            + window[..., 0]) / (12.0 * h)
 
 
 def stencil_derivative(samples, h: float) -> float:
@@ -331,7 +361,7 @@ def stencil_derivative(samples, h: float) -> float:
     h = float(h)
     if not math.isfinite(h) or h <= 0.0:
         raise ValueError("step must be finite and positive")
-    return float((-arr[4] + 8.0 * arr[3] - 8.0 * arr[1] + arr[0]) / (12.0 * h))
+    return float(_five_point(arr, h))
 
 
 def derivative_wrt_omega(dtheta_derivative: float, t: float) -> float:
@@ -342,9 +372,19 @@ def derivative_wrt_omega(dtheta_derivative: float, t: float) -> float:
     return float(dtheta_derivative) * t
 
 
-def _stencil_at_working_point(data: FringeDataset, theta_w: float) -> tuple[float, float]:
-    """Expectation and d/dtheta at ``theta_w`` from the raw estimates."""
-    theta = data.theta
+def _checked_working_point(data: FringeDataset, t: float) -> tuple[float, float]:
+    """Validated time and the working point, which the grid must cover."""
+    t = float(t)
+    if not math.isfinite(t) or t <= 0.0:
+        raise ValueError("interrogation time must be positive")
+    theta_w = working_point(data.fringe_frequency)
+    if not (data.theta[0] - 1e-12 <= theta_w <= data.theta[-1] + 1e-12):
+        raise ValueError("the dataset does not cover the working point")
+    return t, theta_w
+
+
+def _stencil_node(theta: np.ndarray, theta_w: float) -> tuple[int, float]:
+    """Grid index of ``theta_w`` and the uniform step around it."""
     idx = int(np.argmin(np.abs(theta - theta_w)))
     if abs(theta[idx] - theta_w) > 1e-9:
         raise ValueError("the grid does not contain the working point")
@@ -355,10 +395,7 @@ def _stencil_at_working_point(data: FringeDataset, theta_w: float) -> tuple[floa
     expected = h * np.arange(-2, 3)
     if np.max(np.abs(offsets - expected)) > 1e-9:
         raise ValueError("the grid is not uniform around the working point")
-    window = data.estimate[idx - 2: idx + 3]
-    if not np.all(np.isfinite(window)):
-        raise ValueError("missing estimates inside the stencil window")
-    return float(data.estimate[idx]), stencil_derivative(window, h)
+    return idx, h
 
 
 def sensitivity_from_fringe(data: FringeDataset, t: float,
@@ -371,22 +408,20 @@ def sensitivity_from_fringe(data: FringeDataset, t: float,
     with two uniform neighbours on each side).  A slope smaller than 1e-9 in
     magnitude is degenerate and rejected.
     """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise ValueError("interrogation time must be positive")
+    t, theta_w = _checked_working_point(data, t)
     m = data.fringe_frequency
-    theta_w = working_point(m)
-    if not (data.theta[0] - 1e-12 <= theta_w <= data.theta[-1] + 1e-12):
-        raise ValueError("the dataset does not cover the working point")
     amplitude: float | None
     if method == "fit":
         fit = fit_fringe(data)
-        arg = m * theta_w + fit.phase
-        expectation = fit.amplitude * math.cos(arg)
-        dtheta = -m * fit.amplitude * math.sin(arg)
+        expectation, dtheta = map(float, _read_working_point(
+            fit.amplitude, fit.phase, m, theta_w))
         amplitude = fit.amplitude
     elif method == "stencil":
-        expectation, dtheta = _stencil_at_working_point(data, theta_w)
+        idx, h = _stencil_node(data.theta, theta_w)
+        window = data.estimate[idx - 2: idx + 3]
+        if not np.all(np.isfinite(window)):
+            raise ValueError("missing estimates inside the stencil window")
+        expectation, dtheta = float(window[2]), stencil_derivative(window, h)
         amplitude = None
     else:
         raise ValueError("method must be 'fit' or 'stencil'")
@@ -427,10 +462,18 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
 
     Each trial resamples every setting's port counts from Poisson laws with
     means equal to the observed counts, rebuilds estimates (re-applying any
-    recorded noise division), and re-runs :func:`sensitivity_from_fringe`.
-    Trials draw from independent counter-based streams ``(seed, trial)``, so
-    the result is deterministic and order-independent.  Trials whose pipeline
-    fails are dropped; more than 10% of them failing is an error.
+    recorded noise division), and re-evaluates the pipeline of
+    :func:`sensitivity_from_fringe`.  Batched; one Philox substream per
+    trial: trial ``k`` draws from ``substream(seed, MONTE_CARLO_TRIALS, k)``,
+    so the result is deterministic and order-independent, and all replicas
+    are then estimated, fitted and read out as (trials, settings) arrays with
+    the code that :func:`fit_fringe` runs on one row.  A trial fails where its
+    single-fringe evaluation would raise: fewer than 5 usable points, a usable
+    span under half a period, singular normal equations, a zero amplitude, a
+    degenerate slope, a vanished variance, or (stencil) a missing estimate in
+    the window.  Failed trials are dropped; more than 10% of them failing is
+    an error.  A time, grid or method that every trial would reject raises
+    ``ValueError`` before any resampling.
     """
     trials = int(trials)
     if trials < 100:
@@ -439,50 +482,54 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
         raise ValueError("resampling requires a seed")
     if not np.any(data.n_total > 0):
         raise ValueError("dataset carries no counts to resample")
+    t, theta_w = _checked_working_point(data, t)
+    if method == "stencil":
+        idx, h = _stencil_node(data.theta, theta_w)
+    elif method != "fit":
+        raise ValueError("method must be 'fit' or 'stencil'")
     n_minus = data.n_total - data.n_plus
-    amplitudes: list[float] = []
-    derivatives: list[float] = []
-    variances: list[float] = []
-    fishers: list[float] = []
-    failed = 0
+    plus = np.empty((trials, data.theta.size), dtype=np.int64)
+    minus = np.empty_like(plus)
     for trial in range(trials):
         gen = substream(seed, MONTE_CARLO_TRIALS, trial)
-        plus = gen.poisson(data.n_plus).astype(np.int64)
-        minus = gen.poisson(n_minus).astype(np.int64)
-        total = plus + minus
-        estimate, stderr = estimates_from_counts(plus, total)
-        clamped = None
-        if data.noise_divisor is not None:
-            scaled = estimate / data.noise_divisor
-            with np.errstate(invalid="ignore"):
-                clamped = np.abs(scaled) > 1.0
-            estimate = np.clip(scaled, -1.0, 1.0)
-            stderr = stderr / data.noise_divisor
-        replica = data.replace(n_plus=plus, n_total=total, estimate=estimate,
-                               stderr=stderr, clamped=clamped)
-        try:
-            result = sensitivity_from_fringe(replica, t, method=method)
-        except (ValueError, FitError):
-            failed += 1
-            continue
-        if result.amplitude is not None:
-            amplitudes.append(result.amplitude)
-        derivatives.append(result.derivative_omega)
-        variances.append(result.d2omega_t)
-        fishers.append(result.fisher_per_photon)
-    if failed > 0.1 * trials:
+        plus[trial] = gen.poisson(data.n_plus)
+        minus[trial] = gen.poisson(n_minus)
+    estimate, stderr = estimates_from_counts(plus, plus + minus)
+    if data.noise_divisor is not None:
+        estimate = np.clip(estimate / data.noise_divisor, -1.0, 1.0)
+        stderr = stderr / data.noise_divisor
+
+    m = data.fringe_frequency
+    if method == "fit":
+        amplitude, phase, _, failure = _fit_rows(data.theta, estimate, stderr, m)
+        failed = failure != 0
+        expectation, dtheta = _read_working_point(amplitude, phase, m, theta_w)
+    else:
+        amplitude = None
+        window = estimate[:, idx - 2: idx + 3]
+        failed = ~np.all(np.isfinite(window), axis=1)
+        expectation, dtheta = window[:, 2], _five_point(window, h)
+    domega = dtheta * t
+    variance = 1.0 - expectation * expectation
+    failed |= (np.abs(domega) < _DEGENERATE_SLOPE) | (variance <= 0.0)
+    n_failed = int(np.count_nonzero(failed))
+    if n_failed > 0.1 * trials:
         raise RuntimeError(
-            f"{failed} of {trials} resampling trials failed; "
+            f"{n_failed} of {trials} resampling trials failed; "
             "the dataset is too fragile for error bars"
         )
-    def spread(values: list[float]) -> float:
-        return float(np.std(np.asarray(values), ddof=1))
+    ok = ~failed
+    repetitions = 1 if data.strategy == "ghz" else data.n_qubits
+    d2 = t * variance[ok] / (repetitions * domega[ok] * domega[ok])
+
+    def spread(values: np.ndarray) -> float:
+        return float(np.std(values, ddof=1))
     return MonteCarloErrors(
-        amplitude=spread(amplitudes) if amplitudes else None,
-        derivative=spread(derivatives),
-        d2omega_t=spread(variances),
-        fisher=spread(fishers),
-        failed_trials=failed,
+        amplitude=None if amplitude is None else spread(amplitude[ok]),
+        derivative=spread(domega[ok]),
+        d2omega_t=spread(d2),
+        fisher=spread(1.0 / (data.n_qubits * d2)),
+        failed_trials=n_failed,
         trials=trials,
     )
 

@@ -134,6 +134,23 @@ class TestScaling:
         assert summary["slope_subtracted"]["slope"] == pytest.approx(
             -1.5, abs=0.1)
 
+    def test_bootstrap_counts_in_summary(self, tmp_path):
+        # three shots per setting: some replicas of the N=1 fringe fail
+        rc, summary = run(
+            tmp_path, "scaling",
+            "[scaling]\nn_values = 1..3\nmode = montecarlo\nseed = 1\n"
+            "shots_per_setting = 3\ntrials = 100\n")
+        assert rc == 0
+
+        def counts(*failed):
+            return {str(n): {"trials": 100, "failed": f}
+                    for n, f in enumerate(failed, start=1)}
+        assert summary["bootstrap"] == {"raw": counts(6, 0, 0),
+                                        "subtracted": counts(3, 0, 0)}
+        rc, summary = run(tmp_path, "scaling", "[scaling]\nn_values = 1..3\n")
+        assert rc == 0
+        assert "bootstrap" not in summary
+
 
 class TestCompare:
     def test_analytic_sqrt_n(self, tmp_path):
@@ -147,9 +164,10 @@ class TestCompare:
                                                             rel=1e-12)
             assert float(row["r_squared_stderr"]) == 0.0
         assert summary["r_squared"]["4"] == pytest.approx(2.0, rel=1e-12)
+        assert "bootstrap" not in summary
 
     def test_montecarlo(self, tmp_path):
-        rc, _ = run(
+        rc, summary = run(
             tmp_path, "compare-markovian",
             "[compare-markovian]\nn_values = 2\nmode = montecarlo\nseed = 9\n"
             "shots_per_setting = 100000\ntrials = 100\n")
@@ -159,6 +177,8 @@ class TestCompare:
         stderr = float(row["r_squared_stderr"])
         assert stderr > 0.0
         assert abs(float(row["r_squared"]) - math.sqrt(2.0)) < 5.0 * stderr
+        counts = {"2": {"trials": 100, "failed": 0}}
+        assert summary["bootstrap"] == {"test": counts, "reference": counts}
 
     def test_markovian_test_channel_rejected(self, tmp_path):
         rc, _ = run(tmp_path, "compare-markovian",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenometry.estimation as estimation
 from zenometry import (
@@ -28,6 +30,8 @@ from zenometry import (
     synthetic_fringe,
     working_point,
 )
+from zenometry.fringes import estimates_from_counts
+from zenometry.rng import MONTE_CARLO_TRIALS, substream
 
 
 def planted_fringe(m, amplitude, phase, points=25, stderr=0.0):
@@ -38,6 +42,69 @@ def planted_fringe(m, amplitude, phase, points=25, stderr=0.0):
         strategy="ghz", n_qubits=m, interrogation_time=0.25, visibility=None,
         theta=theta, n_plus=zeros, n_total=zeros, estimate=values,
         stderr=np.full(points, stderr))
+
+
+def gauss_newton_fit(data, max_iterations=100, tolerance=1e-10):
+    """Reference fit of ``A cos(m theta + phi)``: Gauss-Newton iteration from
+    the largest |estimate| and the projection phase, canonicalized to
+    ``A >= 0`` and ``phi`` in (-pi, pi]."""
+    mask = data.usable
+    theta = data.theta[mask]
+    y = data.estimate[mask]
+    se = data.stderr[mask]
+    m = data.fringe_frequency
+    w = 1.0 / se**2 if np.all(se > 0.0) else np.ones(theta.size)
+    amplitude = float(np.max(np.abs(y)))
+    phase = math.atan2(-float(np.sum(y * np.sin(m * theta))),
+                       float(np.sum(y * np.cos(m * theta))))
+    for _ in range(max_iterations):
+        arg = m * theta + phase
+        r = y - amplitude * np.cos(arg)
+        jac = np.column_stack((np.cos(arg), -amplitude * np.sin(arg)))
+        jw = jac * w[:, None]
+        step = np.linalg.solve(jac.T @ jw, jw.T @ r)
+        amplitude += float(step[0])
+        phase += float(step[1])
+        if float(np.linalg.norm(step)) < tolerance:
+            break
+    else:
+        raise AssertionError("reference fit did not converge")
+    if amplitude < 0.0:
+        amplitude = -amplitude
+        phase += math.pi
+    phase = math.remainder(phase, 2.0 * math.pi)
+    if phase <= -math.pi:
+        phase = math.pi
+    return amplitude, phase
+
+
+def bootstrap_reference(data, t, trials, seed, method="fit"):
+    """Per-trial bootstrap: one validated replica dataset per trial, run
+    through :func:`sensitivity_from_fringe`.  Returns the failure count and
+    the spreads as ``(amplitude, derivative, d2omega_t, fisher)``."""
+    n_minus = data.n_total - data.n_plus
+    rows = []
+    failed = 0
+    for trial in range(trials):
+        gen = substream(seed, MONTE_CARLO_TRIALS, trial)
+        plus = gen.poisson(data.n_plus)
+        total = plus + gen.poisson(n_minus)
+        estimate, stderr = estimates_from_counts(plus, total)
+        if data.noise_divisor is not None:
+            estimate = np.clip(estimate / data.noise_divisor, -1.0, 1.0)
+            stderr = stderr / data.noise_divisor
+        replica = data.replace(n_plus=plus, n_total=total, estimate=estimate,
+                               stderr=stderr)
+        try:
+            r = sensitivity_from_fringe(replica, t, method=method)
+        except (ValueError, FitError):
+            failed += 1
+            continue
+        rows.append((r.amplitude, r.derivative_omega, r.d2omega_t,
+                     r.fisher_per_photon))
+    spreads = [None if col[0] is None else float(np.std(col, ddof=1))
+               for col in zip(*rows)]
+    return failed, spreads
 
 
 class TestOptimalTime:
@@ -195,15 +262,39 @@ class TestFit:
         with pytest.raises(ValueError, match="half a period"):
             fit_fringe(data)
 
-    def test_iteration_cap_carries_last_iterate(self, monkeypatch):
-        monkeypatch.setattr(estimation, "_MAX_ITERATIONS", 1)
-        spec = ProbeSpec("ghz", 2, 1.0)
-        data = sample_fringe(spec, Quadratic(1.0), 0.25,
-                             np.linspace(0.0, math.pi, 25), 1000, seed=5)
-        with pytest.raises(FitError) as excinfo:
-            fit_fringe(data)
-        assert excinfo.value.last_amplitude is not None
-        assert excinfo.value.iterations == 1
+    def test_closed_form_matches_gauss_newton(self):
+        model = Quadratic(1.0)
+        grid = np.linspace(0.0, math.pi, 25)
+        sampled = [
+            sample_fringe(ProbeSpec("ghz", n, 0.9), model,
+                          optimal_time(model, n), grid, 1_000_000, seed=n)
+            for n in range(1, 7)
+        ]
+        planted = [planted_fringe(m, a, p) for m, a, p in
+                   ((1, 0.3, -2.0), (2, 0.6, 2.9), (4, 0.9, 0.7),
+                    (6, 0.05, -0.4))]
+        for data in sampled + planted:
+            fit = fit_fringe(data)
+            assert fit.weighted == (data.stderr[0] > 0.0)
+            assert fit.iterations == 1
+            amplitude, phase = gauss_newton_fit(data)
+            assert fit.amplitude == pytest.approx(amplitude, abs=1e-12)
+            assert fit.phase == pytest.approx(phase, abs=1e-12)
+
+    def test_all_zero_fringe_has_singular_covariance(self):
+        with pytest.raises(FitError, match="covariance is singular"):
+            fit_fringe(planted_fringe(3, 0.0, 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(amplitude=st.floats(0.01, 1.0),
+           phase=st.floats(-math.pi, math.pi, exclude_min=True),
+           m=st.integers(1, 8))
+    def test_recovers_planted_fringe(self, amplitude, phase, m):
+        fit = fit_fringe(planted_fringe(m, amplitude, phase, points=4 * m + 1))
+        assert fit.amplitude >= 0.0
+        assert -math.pi < fit.phase <= math.pi
+        assert fit.amplitude == pytest.approx(amplitude, abs=1e-9)
+        assert abs(math.remainder(fit.phase - phase, 2.0 * math.pi)) <= 1e-9
 
 
 class TestStencil:
@@ -390,10 +481,72 @@ class TestMonteCarlo:
 
     def test_excessive_failures_reported(self, monkeypatch):
         data, t = self.ideal_dataset(shots=1000, seed=4)
-        # choke the fit so every resampled trial fails
-        monkeypatch.setattr(estimation, "_MAX_ITERATIONS", 1)
-        with pytest.raises(RuntimeError, match="failed"):
+        # every slope counts as degenerate, so every resampled trial fails
+        monkeypatch.setattr(estimation, "_DEGENERATE_SLOPE", math.inf)
+        with pytest.raises(RuntimeError, match="100 of 100"):
             monte_carlo_errorbar(data, t, 100, seed=6)
+
+    @staticmethod
+    def fragile_cases():
+        """(label, dataset, time, trials, bootstrap seed, method, failures
+        the per-trial bootstrap counted)."""
+        model = Quadratic(1.0)
+        grid = np.linspace(0.0, math.pi, 25)
+        t4, t3, t6 = (optimal_time(model, n) for n in (4, 3, 6))
+        readme = sample_fringe(ProbeSpec("ghz", 4, 0.8671), model, t4, grid,
+                               1_000_000, seed=7)
+        one_shot = sample_fringe(ProbeSpec("ghz", 3, 1.0), model, t3, grid,
+                                 1, seed=5)
+        clamped = noise_subtract(
+            sample_fringe(ProbeSpec("ghz", 6, 1.0), model, t6, grid, 3,
+                          seed=1), 0.8)
+        assert np.any(clamped.clamped)
+        stencil = noise_subtract(
+            sample_fringe(ProbeSpec("ghz", 4, 0.9), model, t4, grid, 8,
+                          seed=0), 0.8)
+        # one 4-event setting inside the stencil window (theta_w sits at
+        # index 3), so some replicas record no event there
+        thin = sample_fringe(ProbeSpec("ghz", 4, 0.9), model, t4, grid,
+                             10_000, seed=0)
+        n_plus = np.array(thin.n_plus)
+        n_total = np.array(thin.n_total)
+        n_plus[4], n_total[4] = 2, 4
+        estimate, stderr = estimates_from_counts(n_plus, n_total)
+        thin = thin.replace(n_plus=n_plus, n_total=n_total, estimate=estimate,
+                            stderr=stderr)
+        return [
+            ("readme N=4", readme, t4, 200, 3, "fit", 0),
+            ("N=3 one shot", one_shot, t3, 200, 11, "fit", 4),
+            ("N=6 three shots, subtracted", clamped, t6, 200, 11, "fit", 2),
+            ("N=4 stencil", stencil, t4, 150, 11, "stencil", 5),
+            ("N=4 stencil, thin window", thin, t4, 150, 12, "stencil", 2),
+        ]
+
+    def test_batched_matches_per_trial_loop(self):
+        for label, data, t, trials, seed, method, failures in \
+                self.fragile_cases():
+            errors = monte_carlo_errorbar(data, t, trials, seed, method=method)
+            failed, spreads = bootstrap_reference(data, t, trials, seed,
+                                                  method=method)
+            assert errors.trials == trials, label
+            assert errors.failed_trials == failed == failures, label
+            batched = (errors.amplitude, errors.derivative, errors.d2omega_t,
+                       errors.fisher)
+            for got, want in zip(batched, spreads):
+                if want is None:
+                    assert got is None, label
+                else:
+                    assert got == pytest.approx(want, rel=1e-12), label
+
+    def test_shared_rejections_raise_at_once(self):
+        data, t = self.ideal_dataset()
+        with pytest.raises(ValueError, match="positive"):
+            monte_carlo_errorbar(data, 0.0, 100, seed=1)
+        with pytest.raises(ValueError, match="method"):
+            monte_carlo_errorbar(data, t, 100, seed=1, method="spline")
+        off_grid = data.replace(theta=data.theta + 0.01)
+        with pytest.raises(ValueError, match="grid"):
+            monte_carlo_errorbar(off_grid, t, 100, seed=1, method="stencil")
 
 
 class TestNoiseSubtraction:
