@@ -50,7 +50,6 @@ from .estimation import (
     SensitivityResult,
     apply_monte_carlo_errors,
     closed_form_result,
-    derivative_wrt_omega,
     fit_fringe,
     monte_carlo_errorbar,
     noise_subtract,
@@ -100,7 +99,7 @@ __all__ = [
     "FitError", "FitResult", "SensitivityResult", "MonteCarloErrors",
     "working_point", "optimal_time", "optimal_time_for_probe",
     "sensitivity_closed_form", "closed_form_result", "fit_fringe",
-    "stencil_derivative", "derivative_wrt_omega", "sensitivity_from_fringe",
+    "stencil_derivative", "sensitivity_from_fringe",
     "monte_carlo_errorbar", "apply_monte_carlo_errors", "noise_subtract",
     # analysis
     "ScalingFit", "ReferenceBounds", "NoiseSweepRow", "NoiseSweepResult",

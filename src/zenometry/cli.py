@@ -99,13 +99,10 @@ def _theta_grid(cfg: ExperimentConfig, fringe_frequency: int) -> np.ndarray:
     ``pi/(2m)`` on a node with two neighbours on each side."""
     if cfg.theta_points is not None:
         return np.linspace(0.0, math.pi, cfg.theta_points)
+    # The node index of pi/(2m) is (P-1)/(2m), so P-1 must be a multiple of
+    # 2m and at least 4m; 25 points qualify for m = 1..4 and 6.
     m = fringe_frequency
-    if m == 5:
-        points = 21
-    elif m in (1, 2, 3, 4, 6):
-        points = 25
-    else:
-        points = 4 * m + 1
+    points = 25 if m <= 6 and 24 % (2 * m) == 0 else 4 * m + 1
     return np.linspace(0.0, math.pi, points)
 
 
@@ -145,7 +142,6 @@ def _run_fringe(cfg: ExperimentConfig, out: Path) -> dict:
             "amplitude": fit.amplitude,
             "phase": fit.phase,
             "amplitude_stderr": fit.amplitude_stderr,
-            "iterations": fit.iterations,
         }
     return {"per_n": per_n}
 

@@ -56,7 +56,6 @@ class ExperimentConfig:
     model_coefficient: float = 1.0
     model_csv: str | None = None
     markovian_rate: float = _DEFAULT_MARKOVIAN_RATE
-    omega_true: float = 1.0
     interrogation_time: str = "opt"
     shots_per_setting: int = 1_000_000
     theta_points: int | None = None
@@ -126,7 +125,6 @@ _PARSERS = {
     "model_coefficient": _parse_float,
     "model_csv": lambda s, k, v: v.strip(),
     "markovian_rate": _parse_float,
-    "omega_true": _parse_float,
     "interrogation_time": lambda s, k, v: v.strip(),
     "shots_per_setting": _parse_int,
     "theta_points": _parse_int,
@@ -269,8 +267,6 @@ def validate_config(cfg: ExperimentConfig, section: str) -> None:
         value = getattr(cfg, key)
         if value is not None and not 0.0 <= value <= 1.0:
             fail(key, "must lie in [0, 1]")
-    if not math.isfinite(cfg.omega_true):
-        fail("omega_true", "must be finite")
 
     if section in _SAMPLING_COMMANDS and cfg.mode == "montecarlo" and cfg.seed is None:
         fail("seed", "required when mode is montecarlo")

@@ -41,7 +41,6 @@ __all__ = [
     "closed_form_result",
     "fit_fringe",
     "stencil_derivative",
-    "derivative_wrt_omega",
     "sensitivity_from_fringe",
     "monte_carlo_errorbar",
     "apply_monte_carlo_errors",
@@ -364,14 +363,6 @@ def stencil_derivative(samples, h: float) -> float:
     return float(_five_point(arr, h))
 
 
-def derivative_wrt_omega(dtheta_derivative: float, t: float) -> float:
-    """Chain rule from phase slope to frequency slope: multiply by ``t``."""
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError("time must be finite and non-negative")
-    return float(dtheta_derivative) * t
-
-
 def _checked_working_point(data: FringeDataset, t: float) -> tuple[float, float]:
     """Validated time and the working point, which the grid must cover."""
     t = float(t)
@@ -425,7 +416,7 @@ def sensitivity_from_fringe(data: FringeDataset, t: float,
         amplitude = None
     else:
         raise ValueError("method must be 'fit' or 'stencil'")
-    domega = derivative_wrt_omega(dtheta, t)
+    domega = dtheta * t
     if abs(domega) < _DEGENERATE_SLOPE:
         raise ValueError("slope at the working point is degenerate")
     variance = 1.0 - expectation * expectation

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -139,15 +138,6 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def to_csv(self, path) -> None:
-        """Flat dump of every entry as ``row,col,re,im`` (debugging aid)."""
-        lines = ["row,col,re,im"]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                z = self.matrix[i, j]
-                lines.append(f"{i},{j},{z.real!r},{z.imag!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:

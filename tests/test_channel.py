@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from zenometry import (
     BdPairGeometry,
@@ -18,6 +19,7 @@ from zenometry import (
     overlap_numeric,
     predicted_table_visibilities,
 )
+from zenometry.channel import _simpson
 
 MODE = GaussianMode(1.05)
 
@@ -70,6 +72,17 @@ class TestOverlapNumeric:
         profile = TabulatedMode.gaussian(MODE, half_width=3.0, points=301)
         with pytest.raises(ValueError, match="support"):
             overlap_numeric(profile, 7.0)
+
+    @pytest.mark.parametrize("points", [3, 4, 5, 6, 7, 8, 2000, 2001, 4096, 4097])
+    def test_simpson_matches_scipy(self, points):
+        x = np.linspace(-1.3, 2.1, points)
+        f = np.exp(-x * x) * (1.0 + 0.3 * np.sin(5.0 * x))
+        assert _simpson(f, x[1] - x[0]) == pytest.approx(
+            simpson(f, x=x), rel=1e-12, abs=0.0)
+
+    def test_even_sample_count_normalizes(self):
+        profile = TabulatedMode([0.0, 0.5, 1.0, 1.5], [1.0, 2.0, 1.5, 0.5])
+        assert profile.intensity_norm == pytest.approx(1.0, rel=1e-14)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zenometry.cli import main
+import zenometry
+from zenometry.cli import _theta_grid, main
+from zenometry.config import ExperimentConfig
 
 
 def run(tmp_path, command, config_text=None, extra=(), name="exp.ini"):
@@ -53,6 +60,8 @@ class TestFringe:
         assert t == pytest.approx(math.sqrt(1.0 / 8.0), rel=1e-12)
         assert fit2["amplitude"] == pytest.approx(
             0.9 * math.exp(-2.0 * t**2), abs=1e-9)
+        assert sorted(fit2) == ["amplitude", "amplitude_stderr",
+                                "interrogation_time", "phase", "visibility"]
 
     def test_montecarlo_counts_present(self, tmp_path):
         rc, summary = run(
@@ -266,6 +275,44 @@ class TestChannelCalibration:
         rc, _ = run(tmp_path, "channel-calibration",
                     f"[channel-calibration]\ntable_csv = {bad}\n")
         assert rc == 2
+
+
+class TestThetaGrid:
+    def test_working_point_is_an_inner_node(self):
+        sizes = []
+        for m in range(1, 13):
+            grid = _theta_grid(ExperimentConfig(), m)
+            intervals = grid.size - 1
+            assert intervals % (2 * m) == 0 and intervals >= 4 * m
+            idx = intervals // (2 * m)
+            assert grid[idx] == pytest.approx(math.pi / (2 * m), abs=1e-12)
+            assert 2 <= idx <= grid.size - 3
+            sizes.append(grid.size)
+        assert sizes == [25, 25, 25, 25, 21, 25, 29, 33, 37, 41, 45, 49]
+
+    def test_explicit_size_wins(self):
+        grid = _theta_grid(ExperimentConfig(theta_points=7), 3)
+        assert grid.tolist() == np.linspace(0.0, math.pi, 7).tolist()
+
+
+class TestRuntimeDependencies:
+    def test_cli_paths_do_not_import_scipy(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import sys
+            import zenometry, zenometry.cli
+            out = {str(tmp_path)!r}
+            for command in ("channel-calibration", "noise-sweep", "fringe"):
+                rc = zenometry.cli.main([command, "--out", f"{{out}}/{{command}}",
+                                         "--mode", "analytic"])
+                assert rc == 0, command
+            assert "scipy" not in sys.modules, "scipy was imported"
+        """)
+        src = str(Path(zenometry.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "fringe" / "summary.json").is_file()
 
 
 class TestErrorPaths:

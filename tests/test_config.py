@@ -59,6 +59,9 @@ mode = montecarlo
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match=r"\[fringe\] qubits"):
             parse_config_text("[fringe]\nqubits = 3\n")
+        # the true frequency enters no computation, so it is not a key
+        with pytest.raises(ConfigError, match=r"\[fringe\] omega_true: unknown key"):
+            parse_config_text("[fringe]\nomega_true = 1.0\n")
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="tomography"):
@@ -72,9 +75,9 @@ mode = montecarlo
         with pytest.raises(ConfigError, match="integer"):
             parse_config_text("[fringe]\nseed = soon\n")
         with pytest.raises(ConfigError, match="number"):
-            parse_config_text("[fringe]\nomega_true = fast\n")
+            parse_config_text("[fringe]\nmodel_coefficient = fast\n")
         with pytest.raises(ConfigError, match="finite"):
-            parse_config_text("[fringe]\nomega_true = inf\n")
+            parse_config_text("[fringe]\nmodel_coefficient = inf\n")
         with pytest.raises(ConfigError, match="empty range"):
             parse_config_text("[fringe]\nn_values = 6..1\n")
 

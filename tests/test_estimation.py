@@ -17,7 +17,6 @@ from zenometry import (
     Tabulated,
     apply_monte_carlo_errors,
     closed_form_result,
-    derivative_wrt_omega,
     fit_fringe,
     monte_carlo_errorbar,
     noise_subtract,
@@ -333,11 +332,6 @@ class TestStencil:
             stencil_derivative([1.0, 2.0, math.nan, 4.0, 5.0], 0.1)
         with pytest.raises(ValueError):
             stencil_derivative([1.0, 2.0, 3.0, 4.0, 5.0], 0.0)
-
-    def test_chain_rule_to_omega(self):
-        assert derivative_wrt_omega(-2.0, 0.25) == -0.5
-        with pytest.raises(ValueError):
-            derivative_wrt_omega(1.0, -0.1)
 
 
 class TestPipeline:

@@ -90,14 +90,6 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 9.0
 
-    def test_csv_dump(self, tmp_path):
-        dm = ghz_density_matrix(WhiteNoiseGhzParams(1, 1.0))
-        path = tmp_path / "rho.csv"
-        dm.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "row,col,re,im"
-        assert len(lines) == 5
-
 
 class TestOracle:
     def test_plus_state_coherence_decay(self):
