@@ -16,12 +16,13 @@ realises ``gamma = (x0/w)^2 / 2``.  Analyses that instead adopt the
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+
+from .tables import read_table
 
 __all__ = [
     "GaussianMode",
@@ -127,27 +128,9 @@ class TabulatedMode:
     @classmethod
     def from_csv(cls, path) -> "TabulatedMode":
         """Load a profile from a CSV file with header ``x,amplitude``."""
-        xs: list[float] = []
-        amps: list[float] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != ["x", "amplitude"]:
-                raise ValueError(f"{path}: expected header 'x,amplitude'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected two columns")
-                try:
-                    xs.append(float(row[0]))
-                    amps.append(float(row[1]))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: could not parse {row!r} as numbers"
-                    ) from None
+        _, rows = read_table(path, ("x", "amplitude"), (float, float))
         try:
-            return cls(xs, amps)
+            return cls([r[0] for r in rows], [r[1] for r in rows])
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -257,42 +240,15 @@ class CalibrationRow:
         return BdPairGeometry(self.per_bd_displacement)
 
 
-_CALIBRATION_HEADER = ["per_bd_displacement_mm", "intensity_plus", "intensity_minus"]
+_CALIBRATION_HEADER = ("per_bd_displacement_mm", "intensity_plus", "intensity_minus")
 
 
 def load_bd_calibration(path=None) -> tuple[CalibrationRow, ...]:
     """Load displacer calibration rows; defaults to the packaged table."""
-    if path is None:
-        ref = resources.files(__package__).joinpath("data/bd_calibration.csv")
-        with resources.as_file(ref) as p:
-            return _parse_calibration(p)
-    return _parse_calibration(path)
-
-
-def _parse_calibration(path) -> tuple[CalibrationRow, ...]:
-    rows: list[CalibrationRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != _CALIBRATION_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(_CALIBRATION_HEADER)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected three columns")
-            try:
-                d, ip, im = (float(c) for c in row)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: could not parse {row!r} as numbers"
-                ) from None
-            try:
-                rows.append(CalibrationRow(d, ip, im))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    packaged = resources.files(__package__).joinpath("data/bd_calibration.csv")
+    with resources.as_file(packaged) as default:
+        source = default if path is None else path
+        _, rows = read_table(source, _CALIBRATION_HEADER, (float, float, float))
     if not rows:
-        raise ValueError(f"{path}: no calibration rows")
-    return tuple(rows)
+        raise ValueError(f"{source}: no calibration rows")
+    return tuple(CalibrationRow(*row) for row in rows)

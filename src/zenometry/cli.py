@@ -46,38 +46,20 @@ from .probes import (
     witness_expectation,
     witness_from_settings,
 )
+from .tables import write_table
 
 __all__ = ["main", "build_parser"]
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: Path, comments, header, rows) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines += [",".join(_format_cell(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_summary(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _comments(cfg: ExperimentConfig, section: str) -> list[str]:
-    lines = [f"config_sha256={config_hash(cfg, section)}"]
+def _comments(cfg: ExperimentConfig, section: str) -> list[tuple[str, object]]:
+    pairs = [("config_sha256", config_hash(cfg, section))]
     if cfg.seed is not None:
-        lines.append(f"seed={cfg.seed}")
-    return lines
+        pairs.append(("seed", cfg.seed))
+    return pairs
 
 
 def _derived_seed(seed: int, *tags) -> int:
@@ -86,12 +68,15 @@ def _derived_seed(seed: int, *tags) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _decay_model(cfg: ExperimentConfig) -> DecayModel:
+def _decay_model(cfg: ExperimentConfig, section: str) -> DecayModel:
     if cfg.model_kind == "quadratic":
         return Quadratic(cfg.model_coefficient)
     if cfg.model_kind == "markovian":
         return Markovian(cfg.model_coefficient)
-    return Tabulated.from_csv(cfg.model_csv)
+    try:
+        return Tabulated.from_csv(cfg.model_csv)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[{section}] model_csv: {exc}") from None
 
 
 def _theta_grid(cfg: ExperimentConfig, fringe_frequency: int) -> np.ndarray:
@@ -122,7 +107,7 @@ def _interrogation_time(cfg: ExperimentConfig, spec: ProbeSpec,
 
 
 def _run_fringe(cfg: ExperimentConfig, out: Path) -> dict:
-    model = _decay_model(cfg)
+    model = _decay_model(cfg, "fringe")
     comments = _comments(cfg, "fringe")
     per_n = {}
     for position, n in enumerate(cfg.n_values):
@@ -178,14 +163,14 @@ def _scaling_series(cfg: ExperimentConfig, model: DecayModel,
 
 
 def _run_scaling(cfg: ExperimentConfig, out: Path) -> dict:
-    model = _decay_model(cfg)
+    model = _decay_model(cfg, "scaling")
     comments = _comments(cfg, "scaling")
     summary: dict = {}
     bootstrap = {}
     for subtract, name in ((False, "raw"), (True, "subtracted")):
         results, bootstrap[name] = _scaling_series(cfg, model, subtract)
-        _write_csv(out / f"resolution_{name}.csv", comments,
-                   SENSITIVITY_CSV_HEADER, [r.to_csv_row() for r in results])
+        write_table(out / f"resolution_{name}.csv", comments,
+                    SENSITIVITY_CSV_HEADER, [r.to_csv_row() for r in results])
         if len(results) >= 3:
             fit = scaling_fit([(r.n_qubits, r.d2omega_t, r.stderr_d2omega_t)
                                for r in results])
@@ -200,9 +185,9 @@ def _run_scaling(cfg: ExperimentConfig, out: Path) -> dict:
                 (r.n_qubits, r.d2omega_t, sql, zl, hl, r.d2omega_t < sql)
                 for r, sql, zl, hl in zip(results, bounds.sql, bounds.zl, bounds.hl)
             ]
-            _write_csv(out / "bounds.csv", comments,
-                       ("N", "value", "bound_sql", "bound_zl", "bound_hl",
-                        "beats_sql"), rows)
+            write_table(out / "bounds.csv", comments,
+                        ("N", "value", "bound_sql", "bound_zl", "bound_hl",
+                         "beats_sql"), rows)
     if cfg.mode == "montecarlo":
         summary["bootstrap"] = bootstrap
     return summary
@@ -212,7 +197,7 @@ def _run_compare(cfg: ExperimentConfig, out: Path) -> dict:
     if cfg.model_kind == "markovian":
         raise ConfigError("[compare-markovian] model_kind: the test channel "
                           "must not itself be markovian")
-    model_test = _decay_model(cfg)
+    model_test = _decay_model(cfg, "compare-markovian")
     model_ref = Markovian(cfg.markovian_rate)
     comments = _comments(cfg, "compare-markovian")
     rows = []
@@ -227,8 +212,8 @@ def _run_compare(cfg: ExperimentConfig, out: Path) -> dict:
             for tag, entry in counts.items():
                 bootstrap[tag][str(n)] = entry
         rows.append((n, r2, stderr, math.sqrt(n)))
-    _write_csv(out / "relative_resolution.csv", comments,
-               ("N", "r_squared", "r_squared_stderr", "sqrt_n_reference"), rows)
+    write_table(out / "relative_resolution.csv", comments,
+                ("N", "r_squared", "r_squared_stderr", "sqrt_n_reference"), rows)
     summary: dict = {"r_squared": {str(r[0]): r[1] for r in rows}}
     if cfg.mode == "montecarlo":
         summary["bootstrap"] = bootstrap
@@ -273,9 +258,9 @@ def _run_noise_sweep(cfg: ExperimentConfig, out: Path) -> dict:
             rows.append((v, row.n, row.d2omega_t_ghz, row.bound_sql, hl,
                          row.beats_sql))
         crossings[repr(v)] = sweep.crossing
-    _write_csv(out / "noise_sweep.csv", comments,
-               ("fusion_visibility", "N", "d2omegaT_ghz", "bound_sql",
-                "bound_hl", "beats_sql"), rows)
+    write_table(out / "noise_sweep.csv", comments,
+                ("fusion_visibility", "N", "d2omegaT_ghz", "bound_sql",
+                 "bound_hl", "beats_sql"), rows)
     return {"crossings": crossings}
 
 
@@ -298,8 +283,8 @@ def _run_witness(cfg: ExperimentConfig, out: Path) -> dict:
                 WhiteNoiseGhzParams(n, cfg.fusion_visibility))
             w = witness_expectation(state)
             rows.append((n, "oracle", w, fidelity_bound(w)))
-    _write_csv(out / "witness.csv", comments,
-               ("N", "source", "w_value", "fidelity_bound"), rows)
+    write_table(out / "witness.csv", comments,
+                ("N", "source", "w_value", "fidelity_bound"), rows)
     return {"witness": [
         {"n_qubits": r[0], "source": r[1], "w_value": r[2],
          "fidelity_bound": r[3]} for r in rows
@@ -323,10 +308,10 @@ def _run_channel_calibration(cfg: ExperimentConfig, out: Path) -> dict:
         worst = max(worst, abs(residual))
         rows.append((entry.per_bd_displacement, x0, predicted, measured,
                      residual))
-    _write_csv(out / "calibration.csv", comments,
-               ("per_bd_displacement_mm", "total_separation_mm",
-                "predicted_visibility", "measured_visibility", "residual"),
-               rows)
+    write_table(out / "calibration.csv", comments,
+                ("per_bd_displacement_mm", "total_separation_mm",
+                 "predicted_visibility", "measured_visibility", "residual"),
+                rows)
     return {"max_abs_residual": worst, "rows": len(rows)}
 
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+from .fringes import _STRATEGIES
+from .probes import ORACLE_MAX_QUBITS
 
 __all__ = [
     "ConfigError",
@@ -35,7 +38,6 @@ SUBCOMMANDS = (
 )
 
 _MODES = ("analytic", "montecarlo")
-_STRATEGIES = ("ghz", "product")
 _MODEL_KINDS = ("quadratic", "markovian", "tabulated")
 _SAMPLING_COMMANDS = ("fringe", "scaling", "compare-markovian")
 
@@ -194,13 +196,11 @@ def load_config(path, section: str, overrides: dict | None = None) -> Experiment
         if section in configs:
             cfg = configs[section]
     if overrides:
-        current = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-        for key, value in overrides.items():
-            if key not in current:
+        names = {f.name for f in fields(cfg)}
+        for key in overrides:
+            if key not in names:
                 raise ConfigError(f"unknown override {key!r}")
-            if value is not None:
-                current[key] = value
-        cfg = ExperimentConfig(**current)
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     validate_config(cfg, section)
     return cfg
 
@@ -283,6 +283,9 @@ def validate_config(cfg: ExperimentConfig, section: str) -> None:
                 and cfg.fusion_visibility is not None:
             if any(n < 2 for n in cfg.n_values):
                 fail("n_values", "the witness needs at least 2 qubits")
+            if any(n > ORACLE_MAX_QUBITS for n in cfg.n_values):
+                fail("n_values", "the dense-matrix oracle holds at most "
+                     f"{ORACLE_MAX_QUBITS} qubits")
 
 
 def _format_value(value) -> str:

@@ -10,11 +10,12 @@ satisfies ``gamma(0) = 0`` and is non-decreasing in time.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tables import read_table
 
 __all__ = ["DecayModel", "Markovian", "Quadratic", "Tabulated"]
 
@@ -145,23 +146,7 @@ class Tabulated(DecayModel):
     @classmethod
     def from_csv(cls, path) -> "Tabulated":
         """Load samples from a CSV file with exact header ``t,gamma``."""
-        rows: list[tuple[float, float]] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != ["t", "gamma"]:
-                raise ValueError(f"{path}: expected header 't,gamma'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected two columns")
-                try:
-                    rows.append((float(row[0]), float(row[1])))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: could not parse {row!r} as numbers"
-                    ) from None
+        _, rows = read_table(path, ("t", "gamma"), (float, float))
         try:
             return cls(rows)
         except ValueError as exc:

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
+
+from .tables import read_table, write_table
 
 __all__ = ["FringeDataset", "estimates_from_counts"]
 
 _STRATEGIES = ("ghz", "product")
-_CSV_HEADER = "theta,n_plus,n_total,estimate,stderr"
+_CSV_HEADER = ("theta", "n_plus", "n_total", "estimate", "stderr")
 
 
 def estimates_from_counts(n_plus, n_total) -> tuple[np.ndarray, np.ndarray]:
@@ -137,64 +139,29 @@ class FringeDataset:
 
     def to_csv(self, path, extra_comments=()) -> None:
         """Write the dataset with metadata in ``# key=value`` comment rows."""
-        lines = [f"# {c}" for c in extra_comments]
-        meta = {
-            "strategy": self.strategy,
-            "n_qubits": self.n_qubits,
-            "interrogation_time": repr(self.interrogation_time),
-            "visibility": "" if self.visibility is None else repr(self.visibility),
-            "seed": "" if self.seed is None else self.seed,
-            "noise_divisor": "" if self.noise_divisor is None else repr(self.noise_divisor),
-        }
-        lines += [f"# {k}={v}" for k, v in meta.items()]
-        lines.append(_CSV_HEADER)
-        for i in range(self.theta.size):
-            lines.append(
-                f"{float(self.theta[i])!r},{int(self.n_plus[i])},{int(self.n_total[i])},"
-                f"{float(self.estimate[i])!r},{float(self.stderr[i])!r}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        meta = [
+            ("strategy", self.strategy),
+            ("n_qubits", self.n_qubits),
+            ("interrogation_time", self.interrogation_time),
+            ("visibility", self.visibility),
+            ("seed", self.seed),
+            ("noise_divisor", self.noise_divisor),
+        ]
+        write_table(path, [*extra_comments, *meta], _CSV_HEADER,
+                    zip(self.theta, self.n_plus, self.n_total, self.estimate,
+                        self.stderr))
 
     @classmethod
     def from_csv(cls, path) -> "FringeDataset":
         """Inverse of :meth:`to_csv` (clamp flags are not round-tripped)."""
-        meta: dict[str, str] = {}
-        header_seen = False
-        cols: list[list[str]] = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    meta[k.strip()] = v.strip()
-                continue
-            if not header_seen:
-                if line != _CSV_HEADER:
-                    raise ValueError(f"{path}:{lineno}: expected header {_CSV_HEADER!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected five columns")
-            cols.append(parts)
-        if not header_seen:
-            raise ValueError(f"{path}: missing header row")
-        if not cols:
+        meta, rows = read_table(path, _CSV_HEADER,
+                                (float, int, int, float, float))
+        if not rows:
             raise ValueError(f"{path}: no data rows")
         for key in ("strategy", "n_qubits", "interrogation_time"):
             if key not in meta:
                 raise ValueError(f"{path}: missing '# {key}=' metadata")
-        try:
-            theta = [float(p[0]) for p in cols]
-            n_plus = [int(p[1]) for p in cols]
-            n_total = [int(p[2]) for p in cols]
-            estimate = [float(p[3]) for p in cols]
-            stderr = [float(p[4]) for p in cols]
-        except ValueError:
-            raise ValueError(f"{path}: malformed numeric cell") from None
+        theta, n_plus, n_total, estimate, stderr = zip(*rows)
         return cls(
             strategy=meta["strategy"],
             n_qubits=int(meta["n_qubits"]),
@@ -211,6 +178,4 @@ class FringeDataset:
 
     def replace(self, **changes) -> "FringeDataset":
         """Copy with the given fields replaced (validation re-runs)."""
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(changes)
-        return FringeDataset(**current)
+        return dataclasses.replace(self, **changes)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import DecayModel
-from .fringes import FringeDataset, estimates_from_counts
+from .fringes import _STRATEGIES, FringeDataset, estimates_from_counts
 from .rng import FRINGE_SETTINGS, substream
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
 
 # Dense evolution is exact but exponential in N; keep it to 4096x4096.
 ORACLE_MAX_QUBITS = 12
-
-_STRATEGIES = ("ghz", "product")
 
 
 class CapacityError(ValueError):

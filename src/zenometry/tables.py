@@ -1,0 +1,83 @@
+"""The CSV table format of every file zenometry reads or writes.
+
+A table is optional ``# key=value`` comment rows, one exact header row, and
+one comma-separated row per record.  Floats are written with ``repr`` (the
+shortest form that round-trips), integers in decimal, booleans as
+``true``/``false`` and ``None`` as an empty cell.  The reader skips blank
+lines and comment rows wherever they appear, strips whitespace around cells,
+unquotes quoted cells, and reports a malformed row as ``path:line``.
+"""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+
+import numpy as np
+
+
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_table(path, comments, header, rows) -> None:
+    """Write comment rows, the header and one line per row to ``path``.
+
+    A comment is a string, written as it is, or a ``(key, value)`` pair,
+    written ``key=value`` with the value formatted as a cell.
+    """
+    lines = [f"# {c}" if isinstance(c, str) else f"# {c[0]}={_format_cell(c[1])}"
+             for c in comments]
+    lines.append(",".join(header))
+    lines += [",".join(map(_format_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path, header, types) -> tuple[dict[str, str], list[tuple]]:
+    """Read a table whose header row is exactly ``header``.
+
+    Returns the ``# key=value`` metadata as strings, and one tuple per row
+    whose cell ``i`` is converted by ``types[i]``.
+    """
+    header = list(header)
+    expected = ",".join(header)
+    metadata: dict[str, str] = {}
+    rows: list[tuple] = []
+    seen_header = False
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            key, sep, value = text[1:].partition("=")
+            if sep:
+                metadata[key.strip()] = value.strip()
+            continue
+        cells = [c.strip() for c in next(csv.reader([line]))]
+        if not seen_header:
+            if cells != header:
+                raise ValueError(f"{path}:{lineno}: expected header {expected!r}")
+            seen_header = True
+            continue
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, "
+                             f"got {len(cells)}")
+        values = []
+        for name, convert, cell in zip(header, types, cells):
+            try:
+                values.append(convert(cell))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {name}: could not parse "
+                                 f"{cell!r} as {convert.__name__}") from None
+        rows.append(tuple(values))
+    if not seen_header:
+        raise ValueError(f"{path}: missing header row {expected!r}")
+    return metadata, rows

@@ -255,6 +255,24 @@ class TestWitness:
         rc, _ = run(tmp_path, "witness", "[witness]\nseed = 1\n")
         assert rc == 2
 
+    def test_oracle_cap_rejected(self, tmp_path, capsys):
+        rc, summary = run(
+            tmp_path, "witness",
+            "[witness]\nfusion_visibility = 0.9\nn_values = 2..13\n")
+        assert rc == 2
+        assert summary is None
+        err = capsys.readouterr().err
+        assert "[witness] n_values:" in err
+        assert str(zenometry.ORACLE_MAX_QUBITS) in err
+
+    def test_oracle_cap_ignored_off_the_oracle_route(self, tmp_path):
+        rc, summary = run(
+            tmp_path, "witness",
+            "[witness]\nwitness_value = -0.5\nfusion_visibility = 0.9\n"
+            "n_values = 2..13\n")
+        assert rc == 0
+        assert summary["witness"][0]["source"] == "direct"
+
 
 class TestChannelCalibration:
     def test_bundled_table(self, tmp_path):
@@ -275,6 +293,18 @@ class TestChannelCalibration:
         rc, _ = run(tmp_path, "channel-calibration",
                     f"[channel-calibration]\ntable_csv = {bad}\n")
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["fringe", "scaling"])
+    def test_bad_model_table_rejected(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad_decay.csv"
+        bad.write_text("t,gamma\n0.0,0.0\n1.0,zebra\n")
+        rc, summary = run(tmp_path, command,
+                          f"[{command}]\nmodel_kind = tabulated\n"
+                          f"model_csv = {bad}\n")
+        assert rc == 2
+        assert summary is None
+        err = capsys.readouterr().err
+        assert f"[{command}] model_csv: {bad}:3:" in err
 
 
 class TestThetaGrid:
