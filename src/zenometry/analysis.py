@@ -182,11 +182,11 @@ def noise_sweep(fusion_visibility: float, n_values,
 def advantage_crossing(fusion_visibility: float) -> int | None:
     """Largest integer N with ``sqrt(N) v**N > 1``.
 
-    For v = 1 the advantage never ends (returns None); for v < 1 the
-    log-condition ``ln(N)/2 + N ln(v)`` is maximised at ``N = -1/(2 ln v)``
-    and decreases afterwards, so the boundary is found by doubling past the
-    peak and bisecting, then snapped to the last advantaged integer.  Returns
-    None when even the peak never beats the SQL.
+    For v = 1 the advantage never ends (returns None).  For v < 1 the
+    log-condition ``ln(N)/2 + N ln(v)`` is concave with its peak at
+    ``N = -1/(2 ln v)``, so the best integer is next to the peak and the
+    advantaged integers form one run; returns None when it is empty, else
+    the run's end, found by doubling and integer bisection.
     """
     v = float(fusion_visibility)
     if not 0.0 < v <= 1.0:
@@ -195,28 +195,21 @@ def advantage_crossing(fusion_visibility: float) -> int | None:
         return None
     log_v = math.log(v)
 
-    def margin(x: float) -> float:
-        return 0.5 * math.log(x) + x * log_v
+    def margin(n: int) -> float:
+        return 0.5 * math.log(n) + n * log_v
 
-    peak = -0.5 / log_v
-    best_n = max(1, int(math.floor(peak)))
-    if margin(best_n) <= 0.0 and margin(best_n + 1) <= 0.0:
-        return None
-    lo = max(peak, 1.0)
-    hi = max(2.0 * lo, lo + 1.0)
+    lo = max(1, math.floor(-0.5 / log_v))
+    if margin(lo) <= 0.0:
+        lo += 1
+        if margin(lo) <= 0.0:
+            return None
+    hi = 2 * lo
     while margin(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-9 * max(hi, 1.0):
-            break
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # margin(lo) > 0 >= margin(hi)
+        mid = (lo + hi) // 2
         if margin(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    candidate = max(1, int(math.floor(0.5 * (lo + hi))))
-    while margin(candidate + 1) > 0.0:
-        candidate += 1
-    while candidate > 1 and margin(candidate) <= 0.0:
-        candidate -= 1
-    return candidate if margin(candidate) > 0.0 else None
+    return lo

@@ -231,6 +231,11 @@ class CalibrationRow:
     intensity_plus: float
     intensity_minus: float
 
+    def __post_init__(self) -> None:
+        # the geometry and the visibility each validate their inputs
+        BdPairGeometry(self.per_bd_displacement)
+        measured_visibility(self.intensity_plus, self.intensity_minus)
+
     @property
     def measured_visibility(self) -> float:
         return measured_visibility(self.intensity_plus, self.intensity_minus)
@@ -251,4 +256,7 @@ def load_bd_calibration(path=None) -> tuple[CalibrationRow, ...]:
         _, rows = read_table(source, _CALIBRATION_HEADER, (float, float, float))
     if not rows:
         raise ValueError(f"{source}: no calibration rows")
-    return tuple(CalibrationRow(*row) for row in rows)
+    try:
+        return tuple(CalibrationRow(*row) for row in rows)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None

@@ -11,9 +11,9 @@ repetitions folded into one recorded fringe (1 for a GHZ probe, N for the N
 single-qubit fringes of a product probe).  The slope ``d<P>/d omega`` is
 obtained either from a cosine fit (weighted linear least squares, global
 optimum) or from a five-point finite-difference stencil on the raw
-estimates; both routes are kept because they fail differently.  The
-parametric bootstrap evaluates all of its replicas as one array computation
-over (trials, settings) with the same fit and read-out code.
+estimates; both routes are kept because they fail differently.  A single
+fringe is read out as the one-row case of the batched read-out that the
+parametric bootstrap runs over (trials, settings) arrays.
 """
 
 from __future__ import annotations
@@ -114,27 +114,26 @@ def _optimal_time_tabulated(model: Tabulated, n: int) -> float:
 
 def optimal_time_for_probe(spec: ProbeSpec, model: DecayModel) -> float:
     """Optimum for the probe as operated: N joint qubits or one at a time."""
-    return optimal_time(model, spec.n_qubits if spec.strategy == "ghz" else 1)
+    return optimal_time(model, spec.fringe_frequency)
 
 
 def sensitivity_closed_form(spec: ProbeSpec, model: DecayModel, t: float) -> float:
     """Ideal-operating-point ``d2omega_t`` for a fringe of amplitude
     ``V0 exp(-m gamma(t))`` read at its steepest phase.
 
-    GHZ: ``1 / (N**2 t V0**2 exp(-2 N gamma(t)))``;
-    product: ``1 / (N t V0**2 exp(-2 gamma(t)))``.
+    ``1 / ((N // m) m**2 t V0**2 exp(-2 m gamma(t)))`` with fringe frequency
+    ``m``: ``m = N`` for GHZ, ``m = 1`` with N repetitions for product.
     """
     t = float(t)
     if t <= 0.0:
         raise ValueError("interrogation time must be positive")
-    n = spec.n_qubits
+    m = spec.fringe_frequency
     gamma = model.gamma_at(t)
     v0 = spec.visibility
     if v0 <= 0.0:
         raise ValueError("visibility must be positive for a finite variance")
-    if spec.strategy == "ghz":
-        return 1.0 / (n * n * t * v0 * v0 * math.exp(-2.0 * n * gamma))
-    return 1.0 / (n * t * v0 * v0 * math.exp(-2.0 * gamma))
+    return 1.0 / ((spec.n_qubits // m) * m * m * t * v0 * v0
+                  * math.exp(-2.0 * m * gamma))
 
 
 SENSITIVITY_CSV_HEADER = ("N", "strategy", "t_opt", "d2omegaT", "fisher",
@@ -223,14 +222,17 @@ class FitResult:
         return float(math.sqrt(max(self.covariance[1, 1], 0.0)))
 
 
-# Failure codes of ``_fit_rows``, in the order its checks apply; code 0 is
-# success.  ``fit_fringe`` raises the matching error, the bootstrap counts it.
-_FIT_FAILURES = (
+# Read-out failure codes in check order (0 is success, 1-4 from ``_fit_rows``).
+# The single-fringe functions raise the matching error, the bootstrap counts it.
+_FAILURES = (
     None,
     (ValueError, "need at least 5 usable points to fit"),
     (ValueError, "usable points must span at least half a period"),
     (FitError, "normal equations are singular"),
     (FitError, "covariance is singular at the solution"),
+    (ValueError, "missing estimates inside the stencil window"),
+    (ValueError, "slope at the working point is degenerate"),
+    (ValueError, "projection-noise variance vanished at the working point"),
 )
 
 
@@ -244,7 +246,7 @@ def _fit_rows(theta: np.ndarray, estimate: np.ndarray, stderr: np.ndarray,
     least-squares problem whose 2x2 normal equations are solved by Cramer's
     rule.  Returns the canonical amplitude ``hypot(c, s)`` and phase
     ``atan2(s, c)`` in (-pi, pi], whether the row was weighted, and its
-    failure code (an index into ``_FIT_FAILURES``).  Parameters of failed rows
+    failure code (an index into ``_FAILURES``).  Parameters of failed rows
     are meaningless.
     """
     usable = np.isfinite(estimate)
@@ -281,12 +283,6 @@ def _fit_rows(theta: np.ndarray, estimate: np.ndarray, stderr: np.ndarray,
     return amplitude, phase, weighted, failure
 
 
-def _read_working_point(amplitude, phase, m: int, theta_w: float):
-    """Fitted expectation and its d/dtheta at ``theta_w``, elementwise."""
-    arg = m * theta_w + phase
-    return amplitude * np.cos(arg), -m * amplitude * np.sin(arg)
-
-
 def fit_fringe(data: FringeDataset) -> FitResult:
     """Fit ``A cos(m theta + phi)`` to the usable points of a fringe.
 
@@ -305,7 +301,7 @@ def fit_fringe(data: FringeDataset) -> FitResult:
     amplitudes, phases, weighted_rows, failures = _fit_rows(
         data.theta, data.estimate[None, :], data.stderr[None, :], m)
     if failures[0]:
-        kind, message = _FIT_FAILURES[failures[0]]
+        kind, message = _FAILURES[failures[0]]
         raise kind(message)
     amplitude = float(amplitudes[0])
     phase = float(phases[0])
@@ -363,19 +359,22 @@ def stencil_derivative(samples, h: float) -> float:
     return float(_five_point(arr, h))
 
 
-def _checked_working_point(data: FringeDataset, t: float) -> tuple[float, float]:
-    """Validated time and the working point, which the grid must cover."""
+def _read_out_plan(data: FringeDataset, t: float,
+                   method: str) -> tuple[float, float, tuple[int, float] | None]:
+    """Checks that reject every row alike.  Returns the validated time, the
+    working point, which the grid must cover, and for the stencil the grid
+    index of the working point with the uniform step around it (else None)."""
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise ValueError("interrogation time must be positive")
+    theta = data.theta
     theta_w = working_point(data.fringe_frequency)
-    if not (data.theta[0] - 1e-12 <= theta_w <= data.theta[-1] + 1e-12):
+    if not (theta[0] - 1e-12 <= theta_w <= theta[-1] + 1e-12):
         raise ValueError("the dataset does not cover the working point")
-    return t, theta_w
-
-
-def _stencil_node(theta: np.ndarray, theta_w: float) -> tuple[int, float]:
-    """Grid index of ``theta_w`` and the uniform step around it."""
+    if method == "fit":
+        return t, theta_w, None
+    if method != "stencil":
+        raise ValueError("method must be 'fit' or 'stencil'")
     idx = int(np.argmin(np.abs(theta - theta_w)))
     if abs(theta[idx] - theta_w) > 1e-9:
         raise ValueError("the grid does not contain the working point")
@@ -383,10 +382,39 @@ def _stencil_node(theta: np.ndarray, theta_w: float) -> tuple[int, float]:
         raise ValueError("working point too close to the grid edge for a stencil")
     h = float(theta[idx + 1] - theta[idx])
     offsets = theta[idx - 2: idx + 3] - theta[idx]
-    expected = h * np.arange(-2, 3)
-    if np.max(np.abs(offsets - expected)) > 1e-9:
+    if np.max(np.abs(offsets - h * np.arange(-2, 3))) > 1e-9:
         raise ValueError("the grid is not uniform around the working point")
-    return idx, h
+    return t, theta_w, (idx, h)
+
+
+def _read_out(data: FringeDataset, estimate: np.ndarray, stderr: np.ndarray,
+              t: float, theta_w: float, node: tuple[int, float] | None):
+    """Working-point read-out of each (rows, settings) row of ``estimate``.
+
+    Returns the fitted amplitude (None for the stencil), the expectation and
+    ``d<P>/d omega`` at ``theta_w``, ``d2omega_t``, and each row's failure
+    code (an index into ``_FAILURES``); values of failed rows are meaningless.
+    """
+    m = data.fringe_frequency
+    if node is None:
+        amplitude, phase, _, failure = _fit_rows(data.theta, estimate, stderr, m)
+        arg = m * theta_w + phase
+        expectation, dtheta = amplitude * np.cos(arg), -m * amplitude * np.sin(arg)
+    else:
+        idx, h = node
+        amplitude = None
+        window = estimate[:, idx - 2: idx + 3]
+        failure = np.where(np.all(np.isfinite(window), axis=1), 0, 5)
+        expectation, dtheta = window[:, 2], _five_point(window, h)
+    domega = dtheta * t
+    variance = 1.0 - expectation * expectation
+    failure = np.select(
+        [failure != 0, np.abs(domega) < _DEGENERATE_SLOPE, variance <= 0.0],
+        [failure, 6, 7], 0)
+    repetitions = data.n_qubits // m
+    with np.errstate(all="ignore"):
+        d2 = t * variance / (repetitions * domega * domega)
+    return amplitude, expectation, domega, d2, failure
 
 
 def sensitivity_from_fringe(data: FringeDataset, t: float,
@@ -399,39 +427,20 @@ def sensitivity_from_fringe(data: FringeDataset, t: float,
     with two uniform neighbours on each side).  A slope smaller than 1e-9 in
     magnitude is degenerate and rejected.
     """
-    t, theta_w = _checked_working_point(data, t)
-    m = data.fringe_frequency
-    amplitude: float | None
-    if method == "fit":
-        fit = fit_fringe(data)
-        expectation, dtheta = map(float, _read_working_point(
-            fit.amplitude, fit.phase, m, theta_w))
-        amplitude = fit.amplitude
-    elif method == "stencil":
-        idx, h = _stencil_node(data.theta, theta_w)
-        window = data.estimate[idx - 2: idx + 3]
-        if not np.all(np.isfinite(window)):
-            raise ValueError("missing estimates inside the stencil window")
-        expectation, dtheta = float(window[2]), stencil_derivative(window, h)
-        amplitude = None
-    else:
-        raise ValueError("method must be 'fit' or 'stencil'")
-    domega = dtheta * t
-    if abs(domega) < _DEGENERATE_SLOPE:
-        raise ValueError("slope at the working point is degenerate")
-    variance = 1.0 - expectation * expectation
-    if variance <= 0.0:
-        raise ValueError("projection-noise variance vanished at the working point")
-    repetitions = 1 if data.strategy == "ghz" else data.n_qubits
-    d2 = t * variance / (repetitions * domega * domega)
+    t, theta_w, node = _read_out_plan(data, t, method)
+    amplitude, expectation, domega, d2, failure = _read_out(
+        data, data.estimate[None, :], data.stderr[None, :], t, theta_w, node)
+    if failure[0]:
+        kind, message = _FAILURES[failure[0]]
+        raise kind(message)
     return SensitivityResult(
         strategy=data.strategy,
         n_qubits=data.n_qubits,
         time=t,
-        amplitude=amplitude,
-        expectation_at_working_point=expectation,
-        derivative_omega=domega,
-        d2omega_t=d2,
+        amplitude=None if amplitude is None else float(amplitude[0]),
+        expectation_at_working_point=float(expectation[0]),
+        derivative_omega=float(domega[0]),
+        d2omega_t=float(d2[0]),
     )
 
 
@@ -458,13 +467,13 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
     trial: trial ``k`` draws from ``substream(seed, MONTE_CARLO_TRIALS, k)``,
     so the result is deterministic and order-independent, and all replicas
     are then estimated, fitted and read out as (trials, settings) arrays with
-    the code that :func:`fit_fringe` runs on one row.  A trial fails where its
-    single-fringe evaluation would raise: fewer than 5 usable points, a usable
-    span under half a period, singular normal equations, a zero amplitude, a
-    degenerate slope, a vanished variance, or (stencil) a missing estimate in
-    the window.  Failed trials are dropped; more than 10% of them failing is
-    an error.  A time, grid or method that every trial would reject raises
-    ``ValueError`` before any resampling.
+    the code that :func:`sensitivity_from_fringe` runs on one row.  A trial
+    fails exactly where that single-fringe evaluation would raise: fewer than
+    5 usable points, a usable span under half a period, singular normal
+    equations, a zero amplitude, (stencil) a missing estimate in the window, a
+    degenerate slope, or a vanished variance.  Failed trials are dropped; more
+    than 10% of them failing is an error.  A time, grid or method that every
+    trial would reject raises ``ValueError`` before any resampling.
     """
     trials = int(trials)
     if trials < 100:
@@ -473,11 +482,7 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
         raise ValueError("resampling requires a seed")
     if not np.any(data.n_total > 0):
         raise ValueError("dataset carries no counts to resample")
-    t, theta_w = _checked_working_point(data, t)
-    if method == "stencil":
-        idx, h = _stencil_node(data.theta, theta_w)
-    elif method != "fit":
-        raise ValueError("method must be 'fit' or 'stencil'")
+    t, theta_w, node = _read_out_plan(data, t, method)
     n_minus = data.n_total - data.n_plus
     plus = np.empty((trials, data.theta.size), dtype=np.int64)
     minus = np.empty_like(plus)
@@ -490,28 +495,16 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
         estimate = np.clip(estimate / data.noise_divisor, -1.0, 1.0)
         stderr = stderr / data.noise_divisor
 
-    m = data.fringe_frequency
-    if method == "fit":
-        amplitude, phase, _, failure = _fit_rows(data.theta, estimate, stderr, m)
-        failed = failure != 0
-        expectation, dtheta = _read_working_point(amplitude, phase, m, theta_w)
-    else:
-        amplitude = None
-        window = estimate[:, idx - 2: idx + 3]
-        failed = ~np.all(np.isfinite(window), axis=1)
-        expectation, dtheta = window[:, 2], _five_point(window, h)
-    domega = dtheta * t
-    variance = 1.0 - expectation * expectation
-    failed |= (np.abs(domega) < _DEGENERATE_SLOPE) | (variance <= 0.0)
-    n_failed = int(np.count_nonzero(failed))
+    amplitude, _, domega, d2, failure = _read_out(data, estimate, stderr, t,
+                                                  theta_w, node)
+    n_failed = int(np.count_nonzero(failure))
     if n_failed > 0.1 * trials:
         raise RuntimeError(
             f"{n_failed} of {trials} resampling trials failed; "
             "the dataset is too fragile for error bars"
         )
-    ok = ~failed
-    repetitions = 1 if data.strategy == "ghz" else data.n_qubits
-    d2 = t * variance[ok] / (repetitions * domega[ok] * domega[ok])
+    ok = failure == 0
+    d2 = d2[ok]
 
     def spread(values: np.ndarray) -> float:
         return float(np.std(values, ddof=1))

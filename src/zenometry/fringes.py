@@ -8,12 +8,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import read_table, write_table
+from .tables import convert_cell, read_table, write_table
 
 __all__ = ["FringeDataset", "estimates_from_counts"]
 
 _STRATEGIES = ("ghz", "product")
 _CSV_HEADER = ("theta", "n_plus", "n_total", "estimate", "stderr")
+_METADATA_TYPES = (("n_qubits", int), ("interrogation_time", float),
+                   ("visibility", float), ("seed", int),
+                   ("noise_divisor", float))
 
 
 def estimates_from_counts(n_plus, n_total) -> tuple[np.ndarray, np.ndarray]:
@@ -159,22 +162,18 @@ class FringeDataset:
         if not rows:
             raise ValueError(f"{path}: no data rows")
         for key in ("strategy", "n_qubits", "interrogation_time"):
-            if key not in meta:
+            if not meta.get(key):
                 raise ValueError(f"{path}: missing '# {key}=' metadata")
+        scalars = {key: convert_cell(path, key, convert, meta[key])
+                   if meta.get(key) else None
+                   for key, convert in _METADATA_TYPES}
         theta, n_plus, n_total, estimate, stderr = zip(*rows)
-        return cls(
-            strategy=meta["strategy"],
-            n_qubits=int(meta["n_qubits"]),
-            interrogation_time=float(meta["interrogation_time"]),
-            visibility=float(meta["visibility"]) if meta.get("visibility") else None,
-            theta=theta,
-            n_plus=n_plus,
-            n_total=n_total,
-            estimate=estimate,
-            stderr=stderr,
-            seed=int(meta["seed"]) if meta.get("seed") else None,
-            noise_divisor=float(meta["noise_divisor"]) if meta.get("noise_divisor") else None,
-        )
+        try:
+            return cls(strategy=meta["strategy"], theta=theta, n_plus=n_plus,
+                       n_total=n_total, estimate=estimate, stderr=stderr,
+                       **scalars)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def replace(self, **changes) -> "FringeDataset":
         """Copy with the given fields replaced (validation re-runs)."""

@@ -41,6 +41,15 @@ def write_table(path, comments, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def convert_cell(where, name, convert, cell):
+    """``convert(cell)``, or a ValueError naming ``where`` and ``name``."""
+    try:
+        return convert(cell)
+    except ValueError:
+        raise ValueError(f"{where}: {name}: could not parse {cell!r} as "
+                         f"{convert.__name__}") from None
+
+
 def read_table(path, header, types) -> tuple[dict[str, str], list[tuple]]:
     """Read a table whose header row is exactly ``header``.
 
@@ -70,14 +79,9 @@ def read_table(path, header, types) -> tuple[dict[str, str], list[tuple]]:
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, "
                              f"got {len(cells)}")
-        values = []
-        for name, convert, cell in zip(header, types, cells):
-            try:
-                values.append(convert(cell))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {name}: could not parse "
-                                 f"{cell!r} as {convert.__name__}") from None
-        rows.append(tuple(values))
+        where = f"{path}:{lineno}"
+        rows.append(tuple(convert_cell(where, name, convert, cell)
+                          for name, convert, cell in zip(header, types, cells)))
     if not seen_header:
         raise ValueError(f"{path}: missing header row {expected!r}")
     return metadata, rows

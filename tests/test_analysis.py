@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from zenometry import (
@@ -167,6 +169,15 @@ class TestAdvantageCrossing:
             assert abs(root - n_star) <= 1.0
             assert margin(n_star) > 0.0
             assert margin(n_star + 1) <= 0.0
+
+    @given(v=st.floats(0.5, 0.999))
+    def test_matches_integer_scan(self, v):
+        # the crossing grows with v and is 4165 at v = 0.999
+        log_v = math.log(v)
+        advantaged = [n for n in range(1, 5000)
+                      if 0.5 * math.log(n) + n * log_v > 0.0]
+        assert advantage_crossing(v) == (max(advantaged) if advantaged
+                                         else None)
 
     def test_no_crossing_cases(self):
         assert advantage_crossing(1.0) is None

@@ -294,6 +294,21 @@ class TestChannelCalibration:
                     f"[channel-calibration]\ntable_csv = {bad}\n")
         assert rc == 2
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,-1.0,3.0", "intensities must be finite and non-negative"),
+        ("-0.5,1.0,3.0", "per-displacer displacement must be >= 0"),
+    ], ids=["intensity", "displacement"])
+    def test_bad_table_value_rejected(self, tmp_path, capsys, row, message):
+        table = tmp_path / "table.csv"
+        table.write_text("per_bd_displacement_mm,intensity_plus,"
+                         f"intensity_minus\n0.3,4.0,0.1\n{row}\n")
+        rc, summary = run(tmp_path, "channel-calibration",
+                          f"[channel-calibration]\ntable_csv = {table}\n")
+        assert rc == 2
+        assert summary is None
+        err = capsys.readouterr().err
+        assert f"[channel-calibration] table_csv: {table}: {message}" in err
+
     @pytest.mark.parametrize("command", ["fringe", "scaling"])
     def test_bad_model_table_rejected(self, tmp_path, capsys, command):
         bad = tmp_path / "bad_decay.csv"

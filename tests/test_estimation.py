@@ -77,10 +77,43 @@ def gauss_newton_fit(data, max_iterations=100, tolerance=1e-10):
     return amplitude, phase
 
 
+def scalar_read_out(replica, t, method):
+    """Reference working-point read-out of one fringe, one rule at a time:
+    the cosine through :func:`fit_fringe` or the slope through
+    :func:`stencil_derivative`.  ``t`` and the grid must be valid.  Returns
+    ``(amplitude, d<P>/d omega, d2omega_t)``; raises where the row fails."""
+    m = replica.fringe_frequency
+    theta_w = math.pi / (2.0 * m)
+    if method == "fit":
+        fit = fit_fringe(replica)
+        arg = m * theta_w + fit.phase
+        expectation = fit.amplitude * math.cos(arg)
+        dtheta = -m * fit.amplitude * math.sin(arg)
+        amplitude = fit.amplitude
+    else:
+        idx = int(np.argmin(np.abs(replica.theta - theta_w)))
+        h = float(replica.theta[idx + 1] - replica.theta[idx])
+        window = replica.estimate[idx - 2: idx + 3]
+        if not np.all(np.isfinite(window)):
+            raise ValueError("missing estimates inside the stencil window")
+        expectation = float(window[2])
+        dtheta = stencil_derivative(window, h)
+        amplitude = None
+    domega = dtheta * t
+    if abs(domega) < 1e-9:
+        raise ValueError("slope at the working point is degenerate")
+    variance = 1.0 - expectation * expectation
+    if variance <= 0.0:
+        raise ValueError("projection-noise variance vanished at the working "
+                         "point")
+    repetitions = 1 if replica.strategy == "ghz" else replica.n_qubits
+    return amplitude, domega, t * variance / (repetitions * domega * domega)
+
+
 def bootstrap_reference(data, t, trials, seed, method="fit"):
     """Per-trial bootstrap: one validated replica dataset per trial, run
-    through :func:`sensitivity_from_fringe`.  Returns the failure count and
-    the spreads as ``(amplitude, derivative, d2omega_t, fisher)``."""
+    through :func:`scalar_read_out`.  Returns the failure count and the
+    spreads as ``(amplitude, derivative, d2omega_t, fisher)``."""
     n_minus = data.n_total - data.n_plus
     rows = []
     failed = 0
@@ -95,15 +128,51 @@ def bootstrap_reference(data, t, trials, seed, method="fit"):
         replica = data.replace(n_plus=plus, n_total=total, estimate=estimate,
                                stderr=stderr)
         try:
-            r = sensitivity_from_fringe(replica, t, method=method)
+            amplitude, domega, d2 = scalar_read_out(replica, t, method)
         except (ValueError, FitError):
             failed += 1
             continue
-        rows.append((r.amplitude, r.derivative_omega, r.d2omega_t,
-                     r.fisher_per_photon))
+        rows.append((amplitude, domega, d2, 1.0 / (data.n_qubits * d2)))
     spreads = [None if col[0] is None else float(np.std(col, ddof=1))
                for col in zip(*rows)]
     return failed, spreads
+
+
+def failing_fringes():
+    """One fringe per row-level rejection of the read-out, in check order:
+    ``(dataset, method, error type, message)`` with the label as id."""
+    base = planted_fringe(2, 0.8, 0.0)  # theta_w = pi/4 sits at index 6
+
+    def only(keep):
+        estimate = np.full(base.theta.size, math.nan)
+        estimate[keep] = base.estimate[keep]
+        return base.replace(estimate=estimate)
+    hole = np.array(base.estimate)
+    hole[7] = math.nan
+    saturated = np.array(base.estimate)
+    saturated[4:9] = (0.2, 0.6, 1.0, 0.9, 0.7)
+    # every 2 theta sits at pi/4 modulo pi: the sine and cosine columns are
+    # collinear
+    collinear = planted_fringe(2, 0.8, 0.0, points=5).replace(
+        theta=math.pi / 8.0 + np.arange(5) * math.pi / 2.0)
+    zero = planted_fringe(2, 0.0, 0.0)
+    cases = [
+        ("four points", only(slice(4, 8)), "fit", ValueError,
+         "need at least 5 usable points to fit"),
+        ("short span", only(slice(0, 6)), "fit", ValueError,
+         "usable points must span at least half a period"),
+        ("collinear", collinear, "fit", FitError,
+         "normal equations are singular"),
+        ("zero amplitude", zero, "fit", FitError,
+         "covariance is singular at the solution"),
+        ("hole", base.replace(estimate=hole), "stencil", ValueError,
+         "missing estimates inside the stencil window"),
+        ("flat", zero, "stencil", ValueError,
+         "slope at the working point is degenerate"),
+        ("saturated", base.replace(estimate=saturated), "stencil", ValueError,
+         "projection-noise variance vanished at the working point"),
+    ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
 class TestOptimalTime:
@@ -420,6 +489,14 @@ class TestPipeline:
         data = planted_fringe(2, 0.8, 0.0)
         with pytest.raises(ValueError):
             sensitivity_from_fringe(data, 0.0)
+
+    @pytest.mark.parametrize("data, method, kind, message", failing_fringes())
+    def test_each_rejection_raises_its_error(self, data, method, kind,
+                                             message):
+        with pytest.raises(kind) as info:
+            sensitivity_from_fringe(data, 0.25, method=method)
+        assert type(info.value) is kind
+        assert str(info.value) == message
 
 
 class TestMonteCarlo:

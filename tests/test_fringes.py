@@ -112,6 +112,23 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="header"):
             FringeDataset.from_csv(bad)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_qubits", "two", "n_qubits: could not parse 'two' as int"),
+        ("seed", "1.5", "seed: could not parse '1.5' as int"),
+        ("strategy", "foo", "strategy must be one of ('ghz', 'product')"),
+        ("visibility", "1.5", "visibility must lie in [0, 1]"),
+    ], ids=["n_qubits", "seed", "strategy", "visibility"])
+    def test_bad_metadata_names_the_file(self, tmp_path, key, value, message):
+        meta = {"strategy": "ghz", "n_qubits": "2",
+                "interrogation_time": "0.1", key: value}
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(f"# {k}={v}\n" for k, v in meta.items())
+                       + "theta,n_plus,n_total,estimate,stderr\n"
+                       "0.0,1,2,0.0,0.7\n")
+        with pytest.raises(ValueError) as err:
+            FringeDataset.from_csv(bad)
+        assert str(err.value) == f"{bad}: {message}"
+
     def test_metadata_required(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("theta,n_plus,n_total,estimate,stderr\n0.0,1,2,0.0,0.7\n")
