@@ -31,7 +31,6 @@ from .channel import (
     measured_visibility,
     overlap_gaussian,
     overlap_numeric,
-    predicted_table_visibilities,
 )
 from .config import (
     SUBCOMMANDS,
@@ -87,8 +86,7 @@ __all__ = [
     # channel
     "GaussianMode", "TabulatedMode", "BdPairGeometry", "CalibrationRow",
     "displacement_from_thickness", "overlap_gaussian", "overlap_numeric",
-    "effective_time", "measured_visibility", "predicted_table_visibilities",
-    "load_bd_calibration",
+    "effective_time", "measured_visibility", "load_bd_calibration",
     # probes and fringes
     "ORACLE_MAX_QUBITS", "CapacityError", "ProbeSpec", "WhiteNoiseGhzParams",
     "DensityMatrix", "ghz_density_matrix", "evolve_oracle",

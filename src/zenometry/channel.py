@@ -34,7 +34,6 @@ __all__ = [
     "overlap_numeric",
     "effective_time",
     "measured_visibility",
-    "predicted_table_visibilities",
     "load_bd_calibration",
 ]
 
@@ -213,14 +212,6 @@ def measured_visibility(intensity_plus: float, intensity_minus: float) -> float:
     if ip + im <= 0.0:
         raise ValueError("total intensity must be positive")
     return (ip - im) / (ip + im)
-
-
-def predicted_table_visibilities(geometries, mode: GaussianMode) -> list[float]:
-    """Predicted visibility for each displacer-pair geometry."""
-    geometries = list(geometries)
-    if not geometries:
-        raise ValueError("need at least one geometry")
-    return [overlap_gaussian(g.total_separation, mode) for g in geometries]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .decay import DecayModel, Markovian, Quadratic, Tabulated
 from .estimation import (
     SENSITIVITY_CSV_HEADER,
     FitError,
+    SensitivityResult,
     apply_monte_carlo_errors,
     closed_form_result,
     fit_fringe,
@@ -81,7 +82,8 @@ def _decay_model(cfg: ExperimentConfig, section: str) -> DecayModel:
 
 def _theta_grid(cfg: ExperimentConfig, fringe_frequency: int) -> np.ndarray:
     """Uniform grid on [0, pi] whose spacing lands the working point
-    ``pi/(2m)`` on a node with two neighbours on each side."""
+    ``pi/(2m)`` on a node with two neighbours on each side.  The fit does not
+    need the node; the rule stays so that sampled outputs do not change."""
     if cfg.theta_points is not None:
         return np.linspace(0.0, math.pi, cfg.theta_points)
     # The node index of pi/(2m) is (P-1)/(2m), so P-1 must be a multiple of
@@ -131,44 +133,39 @@ def _run_fringe(cfg: ExperimentConfig, out: Path) -> dict:
     return {"per_n": per_n}
 
 
-def _bootstrap_counts(errors) -> dict:
-    return {"trials": errors.trials, "failed": errors.failed_trials}
-
-
-def _scaling_series(cfg: ExperimentConfig, model: DecayModel,
-                    subtract: bool) -> tuple[list, dict]:
-    """Results per N, and the bootstrap counts per N in Monte Carlo mode."""
-    results = []
-    bootstrap = {}
-    for position, n in enumerate(cfg.n_values):
-        v0 = _visibility_for(cfg, position)
-        spec = ProbeSpec(cfg.strategy, n, v0)
-        t = _interrogation_time(cfg, spec, model)
-        if cfg.mode == "analytic":
-            ideal = ProbeSpec(cfg.strategy, n, 1.0) if subtract else spec
-            results.append(closed_form_result(ideal, model, t))
-            continue
-        tag = "subtracted" if subtract else "raw"
-        data = sample_fringe(spec, model, t, _theta_grid(cfg, spec.fringe_frequency),
-                             cfg.shots_per_setting,
-                             _derived_seed(cfg.seed, "scaling", n))
-        if subtract:
-            data = noise_subtract(data, v0)
-        result = sensitivity_from_fringe(data, t)
-        errors = monte_carlo_errorbar(data, t, cfg.trials,
-                                      _derived_seed(cfg.seed, "scaling-mc", n, tag))
-        results.append(apply_monte_carlo_errors(result, errors))
-        bootstrap[str(n)] = _bootstrap_counts(errors)
-    return results, bootstrap
+def _bootstrapped(data, t: float, trials: int,
+                  seed: int) -> tuple[SensitivityResult, dict]:
+    """Read-out with bootstrap error bars attached, and the trial counts."""
+    result = sensitivity_from_fringe(data, t)
+    errors = monte_carlo_errorbar(data, t, trials, seed)
+    return (apply_monte_carlo_errors(result, errors),
+            {"trials": errors.trials, "failed": errors.failed_trials})
 
 
 def _run_scaling(cfg: ExperimentConfig, out: Path) -> dict:
     model = _decay_model(cfg, "scaling")
     comments = _comments(cfg, "scaling")
+    series: dict = {"raw": [], "subtracted": []}
+    bootstrap: dict = {"raw": {}, "subtracted": {}}
+    for position, n in enumerate(cfg.n_values):
+        v0 = _visibility_for(cfg, position)
+        spec = ProbeSpec(cfg.strategy, n, v0)
+        t = _interrogation_time(cfg, spec, model)
+        if cfg.mode == "analytic":
+            series["raw"].append(closed_form_result(spec, model, t))
+            series["subtracted"].append(closed_form_result(
+                ProbeSpec(cfg.strategy, n, 1.0), model, t))
+            continue
+        # one sampled fringe per N, read out raw and noise-subtracted
+        data = sample_fringe(spec, model, t, _theta_grid(cfg, spec.fringe_frequency),
+                             cfg.shots_per_setting,
+                             _derived_seed(cfg.seed, "scaling", n))
+        for name, fringe in (("raw", data), ("subtracted", noise_subtract(data, v0))):
+            result, bootstrap[name][str(n)] = _bootstrapped(
+                fringe, t, cfg.trials, _derived_seed(cfg.seed, "scaling-mc", n, name))
+            series[name].append(result)
     summary: dict = {}
-    bootstrap = {}
-    for subtract, name in ((False, "raw"), (True, "subtracted")):
-        results, bootstrap[name] = _scaling_series(cfg, model, subtract)
+    for name, results in series.items():
         write_table(out / f"resolution_{name}.csv", comments,
                     SENSITIVITY_CSV_HEADER, [r.to_csv_row() for r in results])
         if len(results) >= 3:
@@ -179,7 +176,7 @@ def _run_scaling(cfg: ExperimentConfig, out: Path) -> dict:
                 "stderr": fit.slope_stderr,
                 "intercept": fit.intercept,
             }
-        if not subtract and cfg.model_kind == "quadratic":
+        if name == "raw" and cfg.model_kind == "quadratic":
             bounds = reference_bounds(cfg.n_values, cfg.model_coefficient)
             rows = [
                 (r.n_qubits, r.d2omega_t, sql, zl, hl, r.d2omega_t < sql)
@@ -224,21 +221,19 @@ def _compare_montecarlo(cfg: ExperimentConfig, n: int, model_test: DecayModel,
                         model_ref: Markovian) -> tuple[float, float, dict]:
     """Ratio and its stderr, and the bootstrap counts per series."""
     spec = ProbeSpec("ghz", n, 1.0)
-    values = {}
+    results = {}
     counts = {}
     for tag, model in (("test", model_test), ("reference", model_ref)):
         t = optimal_time_for_probe(spec, model)
         data = sample_fringe(spec, model, t, _theta_grid(cfg, spec.fringe_frequency),
                              cfg.shots_per_setting,
                              _derived_seed(cfg.seed, "compare", n, tag))
-        result = sensitivity_from_fringe(data, t)
-        errors = monte_carlo_errorbar(data, t, cfg.trials,
-                                      _derived_seed(cfg.seed, "compare-mc", n, tag))
-        values[tag] = (result.d2omega_t, errors.d2omega_t)
-        counts[tag] = _bootstrap_counts(errors)
-    (d2_test, err_test), (d2_ref, err_ref) = values["test"], values["reference"]
-    r2 = d2_ref / d2_test
-    stderr = r2 * math.sqrt((err_test / d2_test) ** 2 + (err_ref / d2_ref) ** 2)
+        results[tag], counts[tag] = _bootstrapped(
+            data, t, cfg.trials, _derived_seed(cfg.seed, "compare-mc", n, tag))
+    test, ref = results["test"], results["reference"]
+    r2 = ref.d2omega_t / test.d2omega_t
+    stderr = r2 * math.sqrt((test.stderr_d2omega_t / test.d2omega_t) ** 2
+                            + (ref.stderr_d2omega_t / ref.d2omega_t) ** 2)
     return r2, stderr, counts
 
 

@@ -146,10 +146,7 @@ _PARSERS = {
     "out_dir": lambda s, k, v: v.strip(),
 }
 
-_OPTIONAL = {
-    "model_csv", "theta_points", "seed", "visibilities", "fusion_visibility",
-    "witness_value", "x_expectation", "p_all_zero", "p_all_one", "table_csv",
-}
+_OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
 
 def parse_config_text(text: str) -> dict[str, ExperimentConfig]:
@@ -235,6 +232,8 @@ def validate_config(cfg: ExperimentConfig, section: str) -> None:
         else:
             if not math.isfinite(t) or t < 0.0:
                 fail("interrogation_time", "must be finite and >= 0")
+            if t == 0.0 and section == "scaling":
+                fail("interrogation_time", "must be positive for scaling")
     if cfg.shots_per_setting < 1:
         fail("shots_per_setting", "must be >= 1")
     if cfg.theta_points is not None and cfg.theta_points < 5:

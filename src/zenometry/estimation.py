@@ -8,12 +8,12 @@ The figure of merit is the per-total-time variance ``d2omega_t``
 evaluated at the working point ``theta_w = pi / (2 m)`` (first odd quarter
 fringe), where ``m`` is the fringe frequency and ``R`` counts independent
 repetitions folded into one recorded fringe (1 for a GHZ probe, N for the N
-single-qubit fringes of a product probe).  The slope ``d<P>/d omega`` is
-obtained either from a cosine fit (weighted linear least squares, global
-optimum) or from a five-point finite-difference stencil on the raw
-estimates; both routes are kept because they fail differently.  A single
-fringe is read out as the one-row case of the batched read-out that the
-parametric bootstrap runs over (trials, settings) arrays.
+single-qubit fringes of a product probe).  The expectation and the slope
+``d<P>/d omega`` are read off a weighted cosine fit (linear least squares,
+global optimum).  A single fringe is read out as the one-row case of the
+batched read-out that the parametric bootstrap runs over (trials, settings)
+arrays.  The five-point finite-difference derivative is a standalone
+numerical primitive; no read-out uses it.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class SensitivityResult:
     strategy: str
     n_qubits: int
     time: float
-    amplitude: float | None
+    amplitude: float
     expectation_at_working_point: float
     derivative_omega: float
     d2omega_t: float
@@ -168,22 +168,6 @@ class SensitivityResult:
     def to_csv_row(self) -> tuple:
         return (self.n_qubits, self.strategy, self.time, self.d2omega_t,
                 self.fisher_per_photon, self.stderr_fisher)
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "n_qubits": self.n_qubits,
-            "time": self.time,
-            "amplitude": self.amplitude,
-            "expectation_at_working_point": self.expectation_at_working_point,
-            "derivative_omega": self.derivative_omega,
-            "d2omega_t": self.d2omega_t,
-            "fisher_per_photon": self.fisher_per_photon,
-            "stderr_amplitude": self.stderr_amplitude,
-            "stderr_derivative": self.stderr_derivative,
-            "stderr_d2omega_t": self.stderr_d2omega_t,
-            "stderr_fisher": self.stderr_fisher,
-        }
 
 
 def closed_form_result(spec: ProbeSpec, model: DecayModel, t: float) -> SensitivityResult:
@@ -230,7 +214,6 @@ _FAILURES = (
     (ValueError, "usable points must span at least half a period"),
     (FitError, "normal equations are singular"),
     (FitError, "covariance is singular at the solution"),
-    (ValueError, "missing estimates inside the stencil window"),
     (ValueError, "slope at the working point is degenerate"),
     (ValueError, "projection-noise variance vanished at the working point"),
 )
@@ -334,12 +317,6 @@ def fit_fringe(data: FringeDataset) -> FitResult:
     )
 
 
-def _five_point(window: np.ndarray, h: float):
-    """Central five-point slope along the last axis of ``window``."""
-    return (-window[..., 4] + 8.0 * window[..., 3] - 8.0 * window[..., 1]
-            + window[..., 0]) / (12.0 * h)
-
-
 def stencil_derivative(samples, h: float) -> float:
     """Five-point central first derivative at the middle sample.
 
@@ -356,80 +333,55 @@ def stencil_derivative(samples, h: float) -> float:
     h = float(h)
     if not math.isfinite(h) or h <= 0.0:
         raise ValueError("step must be finite and positive")
-    return float(_five_point(arr, h))
+    return float((-arr[4] + 8.0 * arr[3] - 8.0 * arr[1] + arr[0]) / (12.0 * h))
 
 
-def _read_out_plan(data: FringeDataset, t: float,
-                   method: str) -> tuple[float, float, tuple[int, float] | None]:
-    """Checks that reject every row alike.  Returns the validated time, the
-    working point, which the grid must cover, and for the stencil the grid
-    index of the working point with the uniform step around it (else None)."""
+def _read_out_plan(data: FringeDataset, t: float) -> tuple[float, float]:
+    """Checks that reject every row alike.  Returns the validated time and
+    the working point, which the grid must cover."""
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise ValueError("interrogation time must be positive")
-    theta = data.theta
     theta_w = working_point(data.fringe_frequency)
-    if not (theta[0] - 1e-12 <= theta_w <= theta[-1] + 1e-12):
+    if not (data.theta[0] - 1e-12 <= theta_w <= data.theta[-1] + 1e-12):
         raise ValueError("the dataset does not cover the working point")
-    if method == "fit":
-        return t, theta_w, None
-    if method != "stencil":
-        raise ValueError("method must be 'fit' or 'stencil'")
-    idx = int(np.argmin(np.abs(theta - theta_w)))
-    if abs(theta[idx] - theta_w) > 1e-9:
-        raise ValueError("the grid does not contain the working point")
-    if idx < 2 or idx > theta.size - 3:
-        raise ValueError("working point too close to the grid edge for a stencil")
-    h = float(theta[idx + 1] - theta[idx])
-    offsets = theta[idx - 2: idx + 3] - theta[idx]
-    if np.max(np.abs(offsets - h * np.arange(-2, 3))) > 1e-9:
-        raise ValueError("the grid is not uniform around the working point")
-    return t, theta_w, (idx, h)
+    return t, theta_w
 
 
 def _read_out(data: FringeDataset, estimate: np.ndarray, stderr: np.ndarray,
-              t: float, theta_w: float, node: tuple[int, float] | None):
+              t: float, theta_w: float):
     """Working-point read-out of each (rows, settings) row of ``estimate``.
 
-    Returns the fitted amplitude (None for the stencil), the expectation and
-    ``d<P>/d omega`` at ``theta_w``, ``d2omega_t``, and each row's failure
-    code (an index into ``_FAILURES``); values of failed rows are meaningless.
+    Returns the fitted amplitude, the expectation and ``d<P>/d omega`` at
+    ``theta_w``, ``d2omega_t``, and each row's failure code (an index into
+    ``_FAILURES``); values of failed rows are meaningless.
     """
     m = data.fringe_frequency
-    if node is None:
-        amplitude, phase, _, failure = _fit_rows(data.theta, estimate, stderr, m)
-        arg = m * theta_w + phase
-        expectation, dtheta = amplitude * np.cos(arg), -m * amplitude * np.sin(arg)
-    else:
-        idx, h = node
-        amplitude = None
-        window = estimate[:, idx - 2: idx + 3]
-        failure = np.where(np.all(np.isfinite(window), axis=1), 0, 5)
-        expectation, dtheta = window[:, 2], _five_point(window, h)
-    domega = dtheta * t
+    amplitude, phase, _, failure = _fit_rows(data.theta, estimate, stderr, m)
+    arg = m * theta_w + phase
+    expectation = amplitude * np.cos(arg)
+    domega = -m * amplitude * np.sin(arg) * t
     variance = 1.0 - expectation * expectation
     failure = np.select(
         [failure != 0, np.abs(domega) < _DEGENERATE_SLOPE, variance <= 0.0],
-        [failure, 6, 7], 0)
+        [failure, 5, 6], 0)
     repetitions = data.n_qubits // m
     with np.errstate(all="ignore"):
         d2 = t * variance / (repetitions * domega * domega)
     return amplitude, expectation, domega, d2, failure
 
 
-def sensitivity_from_fringe(data: FringeDataset, t: float,
-                            method: str = "fit") -> SensitivityResult:
+def sensitivity_from_fringe(data: FringeDataset, t: float) -> SensitivityResult:
     """Evaluate ``d2omega_t`` from one recorded fringe.
 
-    ``method="fit"`` reads the expectation and slope off the fitted cosine;
-    ``method="stencil"`` differentiates the raw estimates with the five-point
-    stencil centred on the working point (which must then sit on the grid
-    with two uniform neighbours on each side).  A slope smaller than 1e-9 in
-    magnitude is degenerate and rejected.
+    The expectation and slope at the working point are read off the fitted
+    cosine.  A slope ``d<P>/d omega`` smaller than 1e-9 in magnitude is
+    degenerate and rejected, as is a fitted expectation of magnitude 1 or
+    more, where the projection-noise variance vanishes.
     """
-    t, theta_w, node = _read_out_plan(data, t, method)
+    t, theta_w = _read_out_plan(data, t)
     amplitude, expectation, domega, d2, failure = _read_out(
-        data, data.estimate[None, :], data.stderr[None, :], t, theta_w, node)
+        data, data.estimate[None, :], data.stderr[None, :], t, theta_w)
     if failure[0]:
         kind, message = _FAILURES[failure[0]]
         raise kind(message)
@@ -437,7 +389,7 @@ def sensitivity_from_fringe(data: FringeDataset, t: float,
         strategy=data.strategy,
         n_qubits=data.n_qubits,
         time=t,
-        amplitude=None if amplitude is None else float(amplitude[0]),
+        amplitude=float(amplitude[0]),
         expectation_at_working_point=float(expectation[0]),
         derivative_omega=float(domega[0]),
         d2omega_t=float(d2[0]),
@@ -448,7 +400,7 @@ def sensitivity_from_fringe(data: FringeDataset, t: float,
 class MonteCarloErrors:
     """Spread of pipeline outputs over count-resampled replicas."""
 
-    amplitude: float | None
+    amplitude: float
     derivative: float
     d2omega_t: float
     fisher: float
@@ -457,7 +409,7 @@ class MonteCarloErrors:
 
 
 def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
-                         seed: int, method: str = "fit") -> MonteCarloErrors:
+                         seed: int) -> MonteCarloErrors:
     """Parametric-bootstrap error bars for the fringe pipeline.
 
     Each trial resamples every setting's port counts from Poisson laws with
@@ -470,10 +422,10 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
     the code that :func:`sensitivity_from_fringe` runs on one row.  A trial
     fails exactly where that single-fringe evaluation would raise: fewer than
     5 usable points, a usable span under half a period, singular normal
-    equations, a zero amplitude, (stencil) a missing estimate in the window, a
-    degenerate slope, or a vanished variance.  Failed trials are dropped; more
-    than 10% of them failing is an error.  A time, grid or method that every
-    trial would reject raises ``ValueError`` before any resampling.
+    equations, a zero amplitude, a degenerate slope, or a vanished variance.
+    Failed trials are dropped; more than 10% of them failing is an error.  A
+    time or grid that every trial would reject raises ``ValueError`` before
+    any resampling.
     """
     trials = int(trials)
     if trials < 100:
@@ -482,7 +434,7 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
         raise ValueError("resampling requires a seed")
     if not np.any(data.n_total > 0):
         raise ValueError("dataset carries no counts to resample")
-    t, theta_w, node = _read_out_plan(data, t, method)
+    t, theta_w = _read_out_plan(data, t)
     n_minus = data.n_total - data.n_plus
     plus = np.empty((trials, data.theta.size), dtype=np.int64)
     minus = np.empty_like(plus)
@@ -496,7 +448,7 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
         stderr = stderr / data.noise_divisor
 
     amplitude, _, domega, d2, failure = _read_out(data, estimate, stderr, t,
-                                                  theta_w, node)
+                                                  theta_w)
     n_failed = int(np.count_nonzero(failure))
     if n_failed > 0.1 * trials:
         raise RuntimeError(
@@ -509,7 +461,7 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
     def spread(values: np.ndarray) -> float:
         return float(np.std(values, ddof=1))
     return MonteCarloErrors(
-        amplitude=None if amplitude is None else spread(amplitude[ok]),
+        amplitude=spread(amplitude[ok]),
         derivative=spread(domega[ok]),
         d2omega_t=spread(d2),
         fisher=spread(1.0 / (data.n_qubits * d2)),

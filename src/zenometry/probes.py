@@ -160,7 +160,7 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def _apply_single_qubit(rho: np.ndarray, ops, qubit: int, n: int) -> np.ndarray:
+def _apply_single_qubit(rho: np.ndarray, ops, qubit: int) -> np.ndarray:
     """Apply ``sum_k op_k rho op_k^dagger`` acting on one qubit."""
     dim = rho.shape[0]
     left = 2**qubit
@@ -193,9 +193,9 @@ def evolve_oracle(dm: DensityMatrix, model: DecayModel, omega: float,
     n = dm.n_qubits
     rho = np.array(dm.matrix, dtype=complex)
     for q in range(n):
-        rho = _apply_single_qubit(rho, (phase,), q, n)
+        rho = _apply_single_qubit(rho, (phase,), q)
     for q in range(n):
-        rho = _apply_single_qubit(rho, (k0, k1), q, n)
+        rho = _apply_single_qubit(rho, (k0, k1), q)
     return DensityMatrix(rho)
 
 

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import zenometry
+import zenometry.cli
+from zenometry import sample_fringe
 from zenometry.cli import _theta_grid, main
 from zenometry.config import ExperimentConfig
 
@@ -159,6 +161,38 @@ class TestScaling:
         rc, summary = run(tmp_path, "scaling", "[scaling]\nn_values = 1..3\n")
         assert rc == 0
         assert "bootstrap" not in summary
+
+
+    def test_each_fringe_sampled_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.n_qubits)
+            return sample_fringe(spec, *args, **kwargs)
+        monkeypatch.setattr(zenometry.cli, "sample_fringe", counting)
+        rc, summary = run(
+            tmp_path, "scaling",
+            "[scaling]\nn_values = 1..3\nmode = montecarlo\nseed = 5\n"
+            "shots_per_setting = 10000\ntrials = 100\nvisibilities = 0.9\n")
+        assert rc == 0
+        assert calls == [1, 2, 3]
+        assert set(summary["bootstrap"]) == {"raw", "subtracted"}
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+    def test_zero_interrogation_time_rejected(self, tmp_path, capsys, mode):
+        rc, summary = run(
+            tmp_path, "scaling",
+            f"[scaling]\nn_values = 1..3\nmode = {mode}\nseed = 5\n"
+            "interrogation_time = 0\n")
+        assert rc == 2
+        assert summary is None
+        assert "[scaling] interrogation_time: must be positive" \
+            in capsys.readouterr().err
+        # the fringe at t = 0 is well defined
+        rc, _ = run(tmp_path, "fringe",
+                    f"[fringe]\nn_values = 2\nmode = {mode}\nseed = 5\n"
+                    "interrogation_time = 0\n")
+        assert rc == 0
 
 
 class TestCompare:
@@ -358,6 +392,35 @@ class TestRuntimeDependencies:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "fringe" / "summary.json").is_file()
+
+
+class TestBenchmarkTracer:
+    def test_traced_montecarlo_scaling(self, tmp_path):
+        # the benchmark's per-layer tracer wraps library functions by name;
+        # an API change that breaks it fails here
+        root = Path(__file__).resolve().parent.parent
+        config = tmp_path / "exp.ini"
+        config.write_text(
+            "[scaling]\nn_values = 1..3\nmode = montecarlo\nseed = 5\n"
+            "shots_per_setting = 10000\ntrials = 100\n")
+        spans = tmp_path / "spans.json"
+        src = str(Path(zenometry.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans),
+             "cli", "scaling", "--config", str(config), "--out",
+             str(tmp_path / "out")],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(spans.read_text())
+        expected = {"probes.settings_sampled": 3 * 25,
+                    "estimation.bootstrap_trials": 2 * 3 * 100,
+                    "estimation.bootstrap_failed_trials": 0}
+        assert {k: trace["counters"].get(k) for k in expected} == expected
+        names = {span[0] for span in trace["spans"]}
+        assert {"cli.main", "probes.sample_fringe",
+                "estimation.sensitivity_from_fringe",
+                "estimation.monte_carlo_errorbar"} <= names
 
 
 class TestErrorPaths:

@@ -1,11 +1,15 @@
 """Configuration parsing, validation, canonical serialization, hashing."""
 
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenometry import (
     ConfigError,
+    SUBCOMMANDS,
     ExperimentConfig,
     config_hash,
     load_config,
@@ -170,9 +174,42 @@ class TestValidation:
                        p_all_one=0.4)
 
 
+# Values the INI format carries: stripped one-line words that do not read as
+# "none", finite floats, non-empty lists.
+_WORDS = st.text("abcdefghijklmnopqrstuvwxyz0123456789._/-", min_size=1,
+                 max_size=12).filter(lambda w: w != "none")
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_INTS = st.integers(-2**63, 2**64)
+_FIELD_VALUES = {
+    "strategy": _WORDS,
+    "n_values": st.lists(_INTS, min_size=1, max_size=4).map(tuple),
+    "model_kind": _WORDS, "model_coefficient": _FLOATS, "model_csv": _WORDS,
+    "markovian_rate": _FLOATS, "interrogation_time": _WORDS,
+    "shots_per_setting": _INTS, "theta_points": _INTS, "trials": _INTS,
+    "seed": _INTS, "visibilities": st.lists(_FLOATS, min_size=1,
+                                            max_size=4).map(tuple),
+    "fusion_visibility": _FLOATS,
+    "fusion_visibilities": st.lists(_FLOATS, min_size=1,
+                                    max_size=4).map(tuple),
+    "n_max": _INTS, "witness_value": _FLOATS, "x_expectation": _FLOATS,
+    "p_all_zero": _FLOATS, "p_all_one": _FLOATS, "waist_mm": _FLOATS,
+    "table_csv": _WORDS, "mode": _WORDS, "out_dir": _WORDS,
+}
+
+
+@st.composite
+def any_config(draw):
+    values = {}
+    for f in fields(ExperimentConfig):
+        value = _FIELD_VALUES[f.name]
+        if f.default is None:
+            value = st.none() | value
+        values[f.name] = draw(value)
+    return ExperimentConfig(**values)
+
+
 class TestSerialization:
     def test_all_fields_written_once(self):
-        from dataclasses import fields
         text = serialize_config(ExperimentConfig(), "fringe")
         lines = text.strip().splitlines()
         assert lines[0] == "[fringe]"
@@ -193,6 +230,14 @@ class TestSerialization:
             assert parse_config_text(text)["scaling"] == cfg
             assert serialize_config(parse_config_text(text)["scaling"],
                                     "scaling") == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=any_config(), section=st.sampled_from(SUBCOMMANDS))
+    def test_parse_of_serialized_config_is_a_fixed_point(self, cfg, section):
+        text = serialize_config(cfg, section)
+        back = parse_config_text(text)
+        assert back == {section: cfg}
+        assert serialize_config(back[section], section) == text
 
     def test_floats_survive_exactly(self):
         cfg = ExperimentConfig(model_coefficient=1.0 / 3.0,

@@ -1,4 +1,4 @@
-"""Optimal times, closed forms, fitting, stencils, and error bars."""
+"""Optimal times, closed forms, fitting, the stencil, and error bars."""
 
 import math
 
@@ -77,29 +77,16 @@ def gauss_newton_fit(data, max_iterations=100, tolerance=1e-10):
     return amplitude, phase
 
 
-def scalar_read_out(replica, t, method):
-    """Reference working-point read-out of one fringe, one rule at a time:
-    the cosine through :func:`fit_fringe` or the slope through
-    :func:`stencil_derivative`.  ``t`` and the grid must be valid.  Returns
+def scalar_read_out(replica, t):
+    """Reference working-point read-out of one fringe, one rule at a time,
+    through :func:`fit_fringe`.  ``t`` and the grid must be valid.  Returns
     ``(amplitude, d<P>/d omega, d2omega_t)``; raises where the row fails."""
     m = replica.fringe_frequency
     theta_w = math.pi / (2.0 * m)
-    if method == "fit":
-        fit = fit_fringe(replica)
-        arg = m * theta_w + fit.phase
-        expectation = fit.amplitude * math.cos(arg)
-        dtheta = -m * fit.amplitude * math.sin(arg)
-        amplitude = fit.amplitude
-    else:
-        idx = int(np.argmin(np.abs(replica.theta - theta_w)))
-        h = float(replica.theta[idx + 1] - replica.theta[idx])
-        window = replica.estimate[idx - 2: idx + 3]
-        if not np.all(np.isfinite(window)):
-            raise ValueError("missing estimates inside the stencil window")
-        expectation = float(window[2])
-        dtheta = stencil_derivative(window, h)
-        amplitude = None
-    domega = dtheta * t
+    fit = fit_fringe(replica)
+    arg = m * theta_w + fit.phase
+    expectation = fit.amplitude * math.cos(arg)
+    domega = -m * fit.amplitude * math.sin(arg) * t
     if abs(domega) < 1e-9:
         raise ValueError("slope at the working point is degenerate")
     variance = 1.0 - expectation * expectation
@@ -107,10 +94,10 @@ def scalar_read_out(replica, t, method):
         raise ValueError("projection-noise variance vanished at the working "
                          "point")
     repetitions = 1 if replica.strategy == "ghz" else replica.n_qubits
-    return amplitude, domega, t * variance / (repetitions * domega * domega)
+    return fit.amplitude, domega, t * variance / (repetitions * domega * domega)
 
 
-def bootstrap_reference(data, t, trials, seed, method="fit"):
+def bootstrap_reference(data, t, trials, seed):
     """Per-trial bootstrap: one validated replica dataset per trial, run
     through :func:`scalar_read_out`.  Returns the failure count and the
     spreads as ``(amplitude, derivative, d2omega_t, fisher)``."""
@@ -128,50 +115,45 @@ def bootstrap_reference(data, t, trials, seed, method="fit"):
         replica = data.replace(n_plus=plus, n_total=total, estimate=estimate,
                                stderr=stderr)
         try:
-            amplitude, domega, d2 = scalar_read_out(replica, t, method)
+            amplitude, domega, d2 = scalar_read_out(replica, t)
         except (ValueError, FitError):
             failed += 1
             continue
         rows.append((amplitude, domega, d2, 1.0 / (data.n_qubits * d2)))
-    spreads = [None if col[0] is None else float(np.std(col, ddof=1))
-               for col in zip(*rows)]
-    return failed, spreads
+    return failed, [float(np.std(col, ddof=1)) for col in zip(*rows)]
 
 
 def failing_fringes():
     """One fringe per row-level rejection of the read-out, in check order:
-    ``(dataset, method, error type, message)`` with the label as id."""
-    base = planted_fringe(2, 0.8, 0.0)  # theta_w = pi/4 sits at index 6
+    ``(dataset, error type, message)`` with the label as id."""
+    base = planted_fringe(2, 0.8, 0.0)
 
     def only(keep):
         estimate = np.full(base.theta.size, math.nan)
         estimate[keep] = base.estimate[keep]
         return base.replace(estimate=estimate)
-    hole = np.array(base.estimate)
-    hole[7] = math.nan
-    saturated = np.array(base.estimate)
-    saturated[4:9] = (0.2, 0.6, 1.0, 0.9, 0.7)
     # every 2 theta sits at pi/4 modulo pi: the sine and cosine columns are
     # collinear
     collinear = planted_fringe(2, 0.8, 0.0, points=5).replace(
         theta=math.pi / 8.0 + np.arange(5) * math.pi / 2.0)
-    zero = planted_fringe(2, 0.0, 0.0)
+    # A sin(2 theta) turns at the working point pi/4
+    flat = planted_fringe(2, 0.8, -math.pi / 2.0)
+    # clipping a fringe of amplitude 1.3 leaves a fitted expectation above 1
+    saturated = base.replace(estimate=np.clip(
+        1.3 * np.cos(2.0 * base.theta - math.pi / 2.0 + 0.2), -1.0, 1.0))
     cases = [
-        ("four points", only(slice(4, 8)), "fit", ValueError,
+        ("four points", only(slice(4, 8)), ValueError,
          "need at least 5 usable points to fit"),
-        ("short span", only(slice(0, 6)), "fit", ValueError,
+        ("short span", only(slice(0, 6)), ValueError,
          "usable points must span at least half a period"),
-        ("collinear", collinear, "fit", FitError,
-         "normal equations are singular"),
-        ("zero amplitude", zero, "fit", FitError,
+        ("collinear", collinear, FitError, "normal equations are singular"),
+        ("zero amplitude", planted_fringe(2, 0.0, 0.0), FitError,
          "covariance is singular at the solution"),
-        ("hole", base.replace(estimate=hole), "stencil", ValueError,
-         "missing estimates inside the stencil window"),
-        ("flat", zero, "stencil", ValueError,
-         "slope at the working point is degenerate"),
-        ("saturated", base.replace(estimate=saturated), "stencil", ValueError,
+        ("flat", flat, ValueError, "slope at the working point is degenerate"),
+        ("saturated", saturated, ValueError,
          "projection-noise variance vanished at the working point"),
     ]
+    assert len(cases) == len(estimation._FAILURES) - 1
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
@@ -423,21 +405,21 @@ class TestPipeline:
                     sensitivity_closed_form(spec, model, t), rel=1e-9)
 
     def test_stencil_route_within_truncation_budget(self):
+        # the five-point slope of the noise-free fringe at the working point
+        # agrees with the fit route's slope within the stencil's truncation
         model = Quadratic(1.0)
         n = 4
         spec = ProbeSpec("ghz", n, 1.0)
         t = optimal_time(model, n)
         grid = np.linspace(0.0, math.pi, 25)  # h = pi/24, working point on node
         data = synthetic_fringe(spec, model, t, grid)
-        result = sensitivity_from_fringe(data, t, method="stencil")
-        amplitude = math.exp(-n * model.gamma_at(t))
         h = math.pi / 24.0
+        slope = stencil_derivative(data.estimate[1:6], h)
+        amplitude = math.exp(-n * model.gamma_at(t))
         slope_budget = h**4 * amplitude * n**5 / 30.0
-        exact_slope = -n * amplitude
-        assert abs(result.derivative_omega / t - exact_slope) <= slope_budget * 1.01
-        d2_exact = sensitivity_closed_form(spec, model, t)
-        assert result.d2omega_t == pytest.approx(
-            d2_exact, rel=3.0 * slope_budget / (n * amplitude))
+        assert abs(slope - (-n * amplitude)) <= slope_budget * 1.01
+        fitted = sensitivity_from_fringe(data, t).derivative_omega / t
+        assert abs(slope - fitted) <= slope_budget * 1.01
 
     def test_product_repetition_bookkeeping(self):
         # N single-qubit fringes: variance per total time divides by N
@@ -459,42 +441,25 @@ class TestPipeline:
         with pytest.raises(ValueError, match="working point"):
             sensitivity_from_fringe(data, 0.25)
 
-    def test_stencil_requires_node_on_working_point(self):
-        model = Quadratic(1.0)
-        spec = ProbeSpec("ghz", 2, 1.0)
-        theta = np.linspace(0.0, math.pi, 24)  # pi/4 falls between nodes
-        data = synthetic_fringe(spec, model, 0.25, theta)
-        with pytest.raises(ValueError, match="grid"):
-            sensitivity_from_fringe(data, 0.25, method="stencil")
-
-    def test_stencil_requires_complete_window(self):
-        model = Quadratic(1.0)
-        spec = ProbeSpec("ghz", 2, 1.0)
-        theta = np.linspace(0.0, math.pi, 25)
-        data = synthetic_fringe(spec, model, 0.25, theta)
-        est = np.array(data.estimate)
-        est[7] = math.nan  # pi/4 sits at index 6; poke a hole at +h
-        with pytest.raises(ValueError, match="stencil"):
-            sensitivity_from_fringe(data.replace(estimate=est), 0.25,
-                                    method="stencil")
-
     def test_degenerate_slope_rejected(self):
-        spec = ProbeSpec("ghz", 2, 0.0)  # dark fringe: no slope anywhere
+        # a nearly dark fringe: the fit finds its amplitude, but the slope
+        # d<P>/d omega stays below 1e-9
+        spec = ProbeSpec("ghz", 2, 1e-10)
         data = synthetic_fringe(spec, Quadratic(1.0), 0.25,
                                 np.linspace(0.0, math.pi, 25))
+        assert fit_fringe(data).amplitude > 0.0
         with pytest.raises(ValueError, match="degenerate"):
-            sensitivity_from_fringe(data, 0.25, method="stencil")
+            sensitivity_from_fringe(data, 0.25)
 
     def test_time_must_be_positive(self):
         data = planted_fringe(2, 0.8, 0.0)
         with pytest.raises(ValueError):
             sensitivity_from_fringe(data, 0.0)
 
-    @pytest.mark.parametrize("data, method, kind, message", failing_fringes())
-    def test_each_rejection_raises_its_error(self, data, method, kind,
-                                             message):
+    @pytest.mark.parametrize("data, kind, message", failing_fringes())
+    def test_each_rejection_raises_its_error(self, data, kind, message):
         with pytest.raises(kind) as info:
-            sensitivity_from_fringe(data, 0.25, method=method)
+            sensitivity_from_fringe(data, 0.25)
         assert type(info.value) is kind
         assert str(info.value) == message
 
@@ -521,7 +486,7 @@ class TestMonteCarlo:
         errors = monte_carlo_errorbar(data, t, 1000, seed=3)
         assert errors.fisher <= 0.005
         assert errors.failed_trials == 0
-        assert errors.amplitude is not None and errors.amplitude > 0.0
+        assert errors.amplitude > 0.0
 
     def test_error_shrinks_with_shots(self):
         data_small, t = self.ideal_dataset(shots=100_000, seed=8)
@@ -559,8 +524,8 @@ class TestMonteCarlo:
 
     @staticmethod
     def fragile_cases():
-        """(label, dataset, time, trials, bootstrap seed, method, failures
-        the per-trial bootstrap counted)."""
+        """(label, dataset, time, trials, bootstrap seed, failures the
+        per-trial bootstrap counted)."""
         model = Quadratic(1.0)
         grid = np.linspace(0.0, math.pi, 25)
         t4, t3, t6 = (optimal_time(model, n) for n in (4, 3, 6))
@@ -572,52 +537,30 @@ class TestMonteCarlo:
             sample_fringe(ProbeSpec("ghz", 6, 1.0), model, t6, grid, 3,
                           seed=1), 0.8)
         assert np.any(clamped.clamped)
-        stencil = noise_subtract(
-            sample_fringe(ProbeSpec("ghz", 4, 0.9), model, t4, grid, 8,
-                          seed=0), 0.8)
-        # one 4-event setting inside the stencil window (theta_w sits at
-        # index 3), so some replicas record no event there
-        thin = sample_fringe(ProbeSpec("ghz", 4, 0.9), model, t4, grid,
-                             10_000, seed=0)
-        n_plus = np.array(thin.n_plus)
-        n_total = np.array(thin.n_total)
-        n_plus[4], n_total[4] = 2, 4
-        estimate, stderr = estimates_from_counts(n_plus, n_total)
-        thin = thin.replace(n_plus=n_plus, n_total=n_total, estimate=estimate,
-                            stderr=stderr)
         return [
-            ("readme N=4", readme, t4, 200, 3, "fit", 0),
-            ("N=3 one shot", one_shot, t3, 200, 11, "fit", 4),
-            ("N=6 three shots, subtracted", clamped, t6, 200, 11, "fit", 2),
-            ("N=4 stencil", stencil, t4, 150, 11, "stencil", 5),
-            ("N=4 stencil, thin window", thin, t4, 150, 12, "stencil", 2),
+            ("readme N=4", readme, t4, 200, 3, 0),
+            ("N=3 one shot", one_shot, t3, 200, 11, 4),
+            ("N=6 three shots, subtracted", clamped, t6, 200, 11, 2),
         ]
 
     def test_batched_matches_per_trial_loop(self):
-        for label, data, t, trials, seed, method, failures in \
-                self.fragile_cases():
-            errors = monte_carlo_errorbar(data, t, trials, seed, method=method)
-            failed, spreads = bootstrap_reference(data, t, trials, seed,
-                                                  method=method)
+        for label, data, t, trials, seed, failures in self.fragile_cases():
+            errors = monte_carlo_errorbar(data, t, trials, seed)
+            failed, spreads = bootstrap_reference(data, t, trials, seed)
             assert errors.trials == trials, label
             assert errors.failed_trials == failed == failures, label
             batched = (errors.amplitude, errors.derivative, errors.d2omega_t,
                        errors.fisher)
             for got, want in zip(batched, spreads):
-                if want is None:
-                    assert got is None, label
-                else:
-                    assert got == pytest.approx(want, rel=1e-12), label
+                assert got == pytest.approx(want, rel=1e-12), label
 
     def test_shared_rejections_raise_at_once(self):
         data, t = self.ideal_dataset()
         with pytest.raises(ValueError, match="positive"):
             monte_carlo_errorbar(data, 0.0, 100, seed=1)
-        with pytest.raises(ValueError, match="method"):
-            monte_carlo_errorbar(data, t, 100, seed=1, method="spline")
-        off_grid = data.replace(theta=data.theta + 0.01)
-        with pytest.raises(ValueError, match="grid"):
-            monte_carlo_errorbar(off_grid, t, 100, seed=1, method="stencil")
+        uncovered = data.replace(theta=data.theta + 1.0)  # misses pi/4
+        with pytest.raises(ValueError, match="does not cover the working"):
+            monte_carlo_errorbar(uncovered, t, 100, seed=1)
 
 
 class TestNoiseSubtraction:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenometry import FringeDataset, estimates_from_counts
 
@@ -40,6 +42,19 @@ class TestCounts:
         est, se = estimates_from_counts([100, 0], [100, 100])
         assert est[0] == 1.0 and est[1] == -1.0
         assert se[0] > 0.0 and se[1] > 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(
+        st.integers(0, 10**12).flatmap(
+            lambda total: st.tuples(st.integers(0, total), st.just(total))),
+        min_size=1, max_size=30))
+    def test_bounded_estimates_and_positive_errors(self, counts):
+        n_plus, n_total = (np.array(c, dtype=np.int64) for c in zip(*counts))
+        est, se = estimates_from_counts(n_plus, n_total)
+        seen = n_total > 0
+        assert np.all((-1.0 <= est[seen]) & (est[seen] <= 1.0))
+        assert np.all(np.isfinite(se[seen]) & (se[seen] > 0.0))
+        assert np.all(np.isnan(est[~seen]) & np.isnan(se[~seen]))
 
     def test_count_consistency_enforced(self):
         with pytest.raises(ValueError):
