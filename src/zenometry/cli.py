@@ -274,9 +274,9 @@ def _run_witness(cfg: ExperimentConfig, out: Path) -> dict:
         rows.append((None, "settings", w, fidelity_bound(w)))
     else:
         for n in cfg.n_values:
-            state = ghz_density_matrix(
-                WhiteNoiseGhzParams(n, cfg.fusion_visibility))
-            w = witness_expectation(state)
+            # No name holds the state, so it is freed before the next N's.
+            w = witness_expectation(ghz_density_matrix(
+                WhiteNoiseGhzParams(n, cfg.fusion_visibility)))
             rows.append((n, "oracle", w, fidelity_bound(w)))
     write_table(out / "witness.csv", comments,
                 ("N", "source", "w_value", "fidelity_bound"), rows)

@@ -141,7 +141,11 @@ class FringeDataset:
         return self.n_qubits if self.strategy == "ghz" else 1
 
     def to_csv(self, path, extra_comments=()) -> None:
-        """Write the dataset with metadata in ``# key=value`` comment rows."""
+        """Write the dataset with metadata in ``# key=value`` comment rows.
+
+        Clamp flags, when set, take one ``# clamped=`` row with a ``0`` or
+        ``1`` per setting; a dataset without them writes no such row.
+        """
         meta = [
             ("strategy", self.strategy),
             ("n_qubits", self.n_qubits),
@@ -150,13 +154,16 @@ class FringeDataset:
             ("seed", self.seed),
             ("noise_divisor", self.noise_divisor),
         ]
+        if self.clamped is not None:
+            flags = "".join("1" if f else "0" for f in self.clamped)
+            meta.append(("clamped", flags))
         write_table(path, [*extra_comments, *meta], _CSV_HEADER,
                     zip(self.theta, self.n_plus, self.n_total, self.estimate,
                         self.stderr))
 
     @classmethod
     def from_csv(cls, path) -> "FringeDataset":
-        """Inverse of :meth:`to_csv` (clamp flags are not round-tripped)."""
+        """Inverse of :meth:`to_csv`."""
         meta, rows = read_table(path, _CSV_HEADER,
                                 (float, int, int, float, float))
         if not rows:
@@ -167,6 +174,12 @@ class FringeDataset:
         scalars = {key: convert_cell(path, key, convert, meta[key])
                    if meta.get(key) else None
                    for key, convert in _METADATA_TYPES}
+        if "clamped" in meta:
+            flags = meta["clamped"]
+            if set(flags) - {"0", "1"}:
+                raise ValueError(f"{path}: clamped: expected a 0 or 1 per row, "
+                                 f"got {flags!r}")
+            scalars["clamped"] = [f == "1" for f in flags]
         theta, n_plus, n_total, estimate, stderr = zip(*rows)
         try:
             return cls(strategy=meta["strategy"], theta=theta, n_plus=n_plus,

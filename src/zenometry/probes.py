@@ -15,7 +15,7 @@ with the analytic expressions and exists to cross-check them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -40,7 +40,9 @@ __all__ = [
     "fidelity_bound",
 ]
 
-# Dense evolution is exact but exponential in N; keep it to 4096x4096.
+# Dense states are exact but exponential in N: 4096x4096, 256 MiB, at the cap.
+# There evolve_oracle holds four states and the witness route one; README
+# gives the measured time and memory budget.
 ORACLE_MAX_QUBITS = 12
 
 
@@ -99,15 +101,22 @@ class WhiteNoiseGhzParams:
 class DensityMatrix:
     """Validated dense N-qubit density matrix (read-only storage).
 
-    The constructor checks shape, unit trace, and Hermiticity to 1e-12.
-    Positivity is not verified here because it needs a full eigendecomposition;
-    call :meth:`min_eigenvalue` when that check matters.
+    The constructor copies its input and checks shape, unit trace, and
+    Hermiticity to 1e-12.  Positivity is not verified here because it needs a
+    full eigendecomposition; call :meth:`min_eigenvalue` when that check
+    matters.  ``_owned=True`` is for arrays built inside this module that no
+    caller holds: it skips the copy and takes the array as it is.
     """
 
     matrix: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex).copy()
+    def __post_init__(self, _owned: bool) -> None:
+        if _owned:
+            m = self.matrix
+        else:
+            # C order: the dense path reshapes the matrix into views.
+            m = np.array(self.matrix, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         dim = m.shape[0]
@@ -119,9 +128,9 @@ class DensityMatrix:
                 f"{n} qubits exceeds the dense-matrix capacity of "
                 f"{ORACLE_MAX_QUBITS}"
             )
-        if abs(np.trace(m) - 1.0) > 1e-12:
+        if not abs(np.trace(m) - 1.0) <= 1e-12:
             raise ValueError("trace must equal 1 within 1e-12")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        if not _is_hermitian(m, 1e-12):
             raise ValueError("matrix must be Hermitian within 1e-12")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -136,6 +145,27 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
+
+
+# Entries per row block of the Hermiticity check: its temporaries stay near
+# 1 MiB whatever the matrix size.
+_CHECK_BLOCK = 1 << 16
+
+
+def _is_hermitian(m: np.ndarray, tol: float) -> bool:
+    """``max |m - m^dagger| <= tol``, checked one block of rows at a time.
+
+    Block ``i:j`` compares rows ``i:j`` with columns ``i:j`` on and right of
+    the diagonal, which covers every pair once and never builds a full-size
+    temporary.  A NaN entry fails the check.
+    """
+    dim = m.shape[0]
+    rows = max(1, _CHECK_BLOCK // dim)
+    for i in range(0, dim, rows):
+        j = i + rows
+        if not np.max(np.abs(m[i:j, i:] - m[i:, i:j].conj().T)) <= tol:
+            return False
+    return True
 
 
 def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
@@ -157,30 +187,65 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
     rho[-1, -1] += 0.5 * v
     rho[0, -1] += 0.5 * v
     rho[-1, 0] += 0.5 * v
-    return DensityMatrix(rho)
+    return DensityMatrix(rho, _owned=True)
 
 
-def _apply_single_qubit(rho: np.ndarray, ops, qubit: int) -> np.ndarray:
-    """Apply ``sum_k op_k rho op_k^dagger`` acting on one qubit."""
+# Widest column block that the column product handles as one matmul with
+# ``kron(op^*, I).T``.  Wider blocks use a batched 2x2 matmul; narrower ones
+# would make that batch millions of tiny products, each slower than its data.
+_KRON_MAX_RIGHT = 16
+
+
+def _apply_single_qubit(rho: np.ndarray, ops, qubit: int, out=None, work=None,
+                        spare=None) -> np.ndarray:
+    """Apply ``sum_k op_k rho op_k^dagger`` acting on one qubit.
+
+    Qubit 0 is the most significant bit of the row and column index.  Each op
+    multiplies the rows of ``rho`` viewed as ``(left, 2, right * dim)``, then
+    multiplies that product from the right by ``op^dagger`` on the columns:
+    matmuls over contiguous reshapes, with no transposed copy.  ``out``
+    receives the result, ``work`` the row products and ``spare`` the terms
+    after the first; each is a full-size buffer, allocated when not given.
+    ``spare`` may be ``rho`` itself, because ``rho`` is not read again once
+    the last op's row product is done.
+    """
     dim = rho.shape[0]
     left = 2**qubit
     right = dim // (2 * left)
-    t = rho.reshape(left, 2, right, left, 2, right)
-    out = np.zeros_like(t)
-    for op in ops:
-        out += np.einsum("xa,iajkbl,yb->ixjkyl", op, t, op.conj())
-    return out.reshape(dim, dim)
+    out = np.empty_like(rho) if out is None else out
+    work = np.empty_like(rho) if work is None else work
+    rows = rho.reshape(left, 2, right * dim)
+    for k, op in enumerate(ops):
+        np.matmul(op, rows, out=work.reshape(rows.shape))
+        if k == 0:
+            term = out
+        elif k == len(ops) - 1 and spare is not None:
+            term = spare
+        else:
+            term = np.empty_like(rho)
+        if right <= _KRON_MAX_RIGHT:
+            shape = (dim * left, 2 * right)
+            np.matmul(work.reshape(shape), np.kron(op.conj(), np.eye(right)).T,
+                      out=term.reshape(shape))
+        else:
+            shape = (dim * left, 2, right)
+            np.matmul(op.conj(), work.reshape(shape), out=term.reshape(shape))
+        if k:
+            out += term
+    return out
 
 
 def evolve_oracle(dm: DensityMatrix, model: DecayModel, omega: float,
                   t: float) -> DensityMatrix:
     """Evolve a state by phase accumulation plus independent dephasing.
 
-    Each qubit picks up the phase ``diag(exp(-i omega t / 2),
+    Each qubit picks up the phase ``P = diag(exp(-i omega t / 2),
     exp(+i omega t / 2))`` and then passes through the dephasing channel with
-    Kraus operators ``sqrt((1 + f)/2) I`` and ``sqrt((1 - f)/2) Z`` where
-    ``f = exp(-gamma(t))``.  Deliberately element-wise and independent of the
-    closed-form fringe expressions.
+    Kraus operators ``K0 = sqrt((1 + f)/2) I`` and ``K1 = sqrt((1 - f)/2) Z``
+    where ``f = exp(-gamma(t))``.  Both maps act on one qubit at a time, so
+    each qubit takes one pass with the Kraus set ``{K0 P, K1 P}``.
+    Deliberately element-wise and independent of the closed-form fringe
+    expressions.
     """
     omega = float(omega)
     if not math.isfinite(omega):
@@ -190,13 +255,15 @@ def evolve_oracle(dm: DensityMatrix, model: DecayModel, omega: float,
     phase = np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]])
     k0 = math.sqrt((1.0 + f) / 2.0) * np.eye(2)
     k1 = math.sqrt((1.0 - f) / 2.0) * np.array([[1.0, 0.0], [0.0, -1.0]])
-    n = dm.n_qubits
-    rho = np.array(dm.matrix, dtype=complex)
-    for q in range(n):
-        rho = _apply_single_qubit(rho, (phase,), q)
-    for q in range(n):
-        rho = _apply_single_qubit(rho, (k0, k1), q)
-    return DensityMatrix(rho)
+    kraus = (k0 @ phase, k1 @ phase)
+    rho = dm.matrix
+    # Three buffers serve every pass: the result of one pass is the input of
+    # the next, and the input of one pass takes the terms of the next.
+    work, out, spare = (np.empty_like(rho) for _ in range(3))
+    for q in range(dm.n_qubits):
+        _apply_single_qubit(rho, kraus, q, out=out, work=work, spare=spare)
+        rho, out, spare = out, spare, out
+    return DensityMatrix(rho, _owned=True)
 
 
 def parity_expectation_dm(dm: DensityMatrix) -> float:

@@ -1,13 +1,35 @@
 """Fringe dataset container: validation, counts arithmetic, CSV round trip."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenometry import FringeDataset, estimates_from_counts
+from zenometry import FringeDataset, estimates_from_counts, noise_subtract
+
+
+@st.composite
+def counted_datasets(draw):
+    """A sampled-looking fringe: strictly increasing theta, counts, metadata."""
+    size = draw(st.integers(1, 12))
+    theta = sorted(draw(st.lists(st.floats(-10.0, 10.0), min_size=size,
+                                 max_size=size, unique=True)))
+    n_total = draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size))
+    n_plus = [draw(st.integers(0, m)) for m in n_total]
+    estimate, stderr = estimates_from_counts(n_plus, n_total)
+    return FringeDataset(
+        strategy=draw(st.sampled_from(["ghz", "product"])),
+        n_qubits=draw(st.integers(1, 12)),
+        interrogation_time=draw(st.floats(0.0, 10.0)),
+        visibility=draw(st.none() | st.floats(0.0, 1.0)),
+        theta=theta, n_plus=n_plus, n_total=n_total,
+        estimate=estimate, stderr=stderr,
+        seed=draw(st.none() | st.integers(0, 2**63 - 1)),
+    )
 
 
 def small_dataset(**overrides):
@@ -120,6 +142,27 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.n_plus, data.n_plus)
         assert np.allclose(back.estimate, data.estimate, equal_nan=True)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=counted_datasets(),
+           divisors=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=2))
+    def test_noise_subtracted_dataset_round_trips(self, data, divisors):
+        for v0 in divisors:
+            data = noise_subtract(data, v0)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+            data.to_csv(first)
+            back = FringeDataset.from_csv(first)
+            back.to_csv(second)
+            assert first.read_bytes() == second.read_bytes()
+        for name in ("strategy", "n_qubits", "interrogation_time",
+                     "visibility", "seed", "noise_divisor"):
+            assert getattr(back, name) == getattr(data, name), name
+        for name in ("theta", "n_plus", "n_total", "clamped"):
+            assert np.array_equal(getattr(back, name), getattr(data, name)), name
+        for name in ("estimate", "stderr"):
+            assert np.array_equal(getattr(back, name), getattr(data, name),
+                                  equal_nan=True), name
+
     def test_header_enforced(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("# strategy=ghz\n# n_qubits=2\n# interrogation_time=0.1\n"
@@ -132,7 +175,10 @@ class TestCsvRoundTrip:
         ("seed", "1.5", "seed: could not parse '1.5' as int"),
         ("strategy", "foo", "strategy must be one of ('ghz', 'product')"),
         ("visibility", "1.5", "visibility must lie in [0, 1]"),
-    ], ids=["n_qubits", "seed", "strategy", "visibility"])
+        ("clamped", "2", "clamped: expected a 0 or 1 per row, got '2'"),
+        ("clamped", "01", "clamp flags must match the theta grid"),
+    ], ids=["n_qubits", "seed", "strategy", "visibility", "clamped",
+            "clamped-length"])
     def test_bad_metadata_names_the_file(self, tmp_path, key, value, message):
         meta = {"strategy": "ghz", "n_qubits": "2",
                 "interrogation_time": "0.1", key: value}

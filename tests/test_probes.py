@@ -1,11 +1,13 @@
 """Probe states, the dense evolution oracle, sampling, and the witness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from zenometry import probes
 from zenometry import (
     CapacityError,
     DensityMatrix,
@@ -31,6 +33,43 @@ def random_state(rng, n):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho))
+
+
+def random_op(rng):
+    return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+
+def embed(op, qubit, n):
+    """``I (x) .. (x) op (x) .. (x) I`` with ``op`` on ``qubit`` (0 leftmost)."""
+    return np.kron(np.kron(np.eye(2**qubit), op), np.eye(2 ** (n - qubit - 1)))
+
+
+def reference_apply(rho, ops, qubit):
+    """Kraus sum on one qubit through a six-index einsum per op."""
+    dim = rho.shape[0]
+    left = 2**qubit
+    right = dim // (2 * left)
+    t = rho.reshape(left, 2, right, left, 2, right)
+    out = np.zeros_like(t)
+    for op in ops:
+        out += np.einsum("xa,iajkbl,yb->ixjkyl", op, t, op.conj())
+    return out.reshape(dim, dim)
+
+
+def reference_evolve(rho, model, omega, t):
+    """Two passes per qubit: every phase rotation, then every dephasing."""
+    f = model.coherence_factor(t)
+    half = 0.5 * omega * t
+    phase = np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]])
+    k0 = math.sqrt((1.0 + f) / 2.0) * np.eye(2)
+    k1 = math.sqrt((1.0 - f) / 2.0) * np.array([[1.0, 0.0], [0.0, -1.0]])
+    n = rho.shape[0].bit_length() - 1
+    rho = np.array(rho, dtype=complex)
+    for q in range(n):
+        rho = reference_apply(rho, (phase,), q)
+    for q in range(n):
+        rho = reference_apply(rho, (k0, k1), q)
+    return rho
 
 
 class TestSpecs:
@@ -90,6 +129,55 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 9.0
 
+    def test_source_array_is_copied(self):
+        a = np.eye(4, dtype=complex) / 4.0
+        dm = DensityMatrix(a)
+        a[0, 0] = 9.0
+        a[0, 1] = 1.0
+        assert np.array_equal(dm.matrix, np.eye(4) / 4.0)
+
+    @pytest.mark.parametrize("row, col, delta", [
+        (0, 1, 1e-9),            # first row block, right of the diagonal
+        (1, 0, 1e-9j),           # first row block, left of the diagonal
+        (0, -1, 1e-9),           # first row, last column
+        (-1, 0, 1e-9),           # last row, first column
+        (-1, -2, 1e-9),          # last row block, left of the diagonal
+        (-2, -1, -1e-9j),        # last row block, right of the diagonal
+    ])
+    def test_blockwise_hermiticity_finds_every_violation(self, row, col, delta):
+        dim = 1024
+        assert dim // max(1, probes._CHECK_BLOCK // dim) >= 4  # several blocks
+        m = np.eye(dim, dtype=complex) / dim
+        m[row, col] += delta
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(m)
+        m[row, col] -= delta
+        m[row, col] += 1e-13  # within tolerance
+        DensityMatrix(m)
+
+    def test_blockwise_hermiticity_checks_the_diagonal(self):
+        m = np.eye(1024, dtype=complex) / 1024
+        m[-1, -1] += 1e-9j  # opposite imaginary parts keep the trace real
+        m[-2, -2] -= 1e-9j
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(m)
+
+    def test_fortran_ordered_input_evolves_alike(self):
+        state = random_state(np.random.default_rng(8), 3)
+        flipped = DensityMatrix(np.asfortranarray(state.matrix))
+        assert flipped.matrix.flags.c_contiguous
+        a = evolve_oracle(state, Quadratic(1.0), 0.3, 0.5).matrix
+        b = evolve_oracle(flipped, Quadratic(1.0), 0.3, 0.5).matrix
+        assert np.array_equal(a, b)
+
+    def test_nan_entries_rejected(self):
+        m = np.full((2, 2), 0.5, dtype=complex)
+        m[0, 1] = math.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(m)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.full((2, 2), math.nan))
+
 
 class TestOracle:
     def test_plus_state_coherence_decay(self):
@@ -124,6 +212,39 @@ class TestOracle:
                 assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
                 assert out.min_eigenvalue() >= -1e-10
                 assert np.max(np.abs(out.matrix - out.matrix.conj().T)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_single_qubit_map_matches_explicit_kron(self, n):
+        # The oracle's own ops are diagonal, so this is what pins the qubit
+        # order and the row/column roles.  N = 6 reaches column blocks wider
+        # than the kron threshold as well as narrower ones.
+        rng = np.random.default_rng(21)
+        rho = random_state(rng, n).matrix
+        for q in range(n):
+            ops = [random_op(rng) for _ in range(3)]
+            bigs = [embed(op, q, n) for op in ops]
+            terms = [big @ rho @ big.conj().T for big in bigs]
+            for k in (1, 2, 3):
+                got = probes._apply_single_qubit(rho, ops[:k], q)
+                np.testing.assert_allclose(got, sum(terms[:k]), rtol=0,
+                                           atol=1e-13)
+            owned = rho.copy()  # only the last term may overwrite the input
+            got = probes._apply_single_qubit(owned, ops, q, spare=owned)
+            np.testing.assert_allclose(got, sum(terms), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("model", [
+        Markovian(0.7), Quadratic(1.3),
+        Tabulated([(0.0, 0.0), (0.6, 0.3), (1.5, 1.4)])],
+        ids=["markovian", "quadratic", "tabulated"])
+    def test_fused_passes_match_two_pass_reference(self, model):
+        rng = np.random.default_rng(17)
+        for n in range(1, 7):
+            state = random_state(rng, n)
+            omega = float(rng.uniform(-3.0, 3.0))
+            t = float(rng.uniform(0.01, 1.4))
+            fused = evolve_oracle(state, model, omega, t).matrix
+            reference = reference_evolve(state.matrix, model, omega, t)
+            assert np.max(np.abs(fused - reference)) <= 1e-14
 
     def test_zero_time_is_identity_plus_phase_zero(self):
         rng = np.random.default_rng(6)
@@ -253,3 +374,27 @@ class TestWitness:
             fidelity_bound(3.5)
         with pytest.raises(ValueError):
             fidelity_bound(-1.5)
+
+
+class TestDenseMemory:
+    N = 10
+    STATE_BYTES = 16 * 4**N
+
+    def test_witness_route_holds_one_state(self):
+        tracemalloc.start()
+        try:
+            witness_expectation(ghz_density_matrix(WhiteNoiseGhzParams(self.N, 0.9)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * self.STATE_BYTES
+
+    def test_oracle_adds_three_states_over_its_input(self):
+        state = ghz_density_matrix(WhiteNoiseGhzParams(self.N, 0.9))
+        tracemalloc.start()
+        try:
+            evolve_oracle(state, Quadratic(1.0), 0.7, 0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * self.STATE_BYTES
