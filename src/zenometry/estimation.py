@@ -26,7 +26,7 @@ import numpy as np
 from .decay import DecayModel, Markovian, Quadratic, Tabulated
 from .fringes import FringeDataset, estimates_from_counts
 from .probes import ProbeSpec
-from .rng import MONTE_CARLO_TRIALS, substream
+from .rng import MONTE_CARLO_TRIALS, StreamFamily
 
 __all__ = [
     "FitError",
@@ -417,9 +417,12 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
     recorded noise division), and re-evaluates the pipeline of
     :func:`sensitivity_from_fringe`.  Batched; one Philox substream per
     trial: trial ``k`` draws from ``substream(seed, MONTE_CARLO_TRIALS, k)``,
-    so the result is deterministic and order-independent, and all replicas
-    are then estimated, fitted and read out as (trials, settings) arrays with
-    the code that :func:`sensitivity_from_fringe` runs on one row.  A trial
+    so the result is deterministic and order-independent.  The trials are
+    drawn from one rekeyed :class:`~zenometry.rng.StreamFamily`, one Poisson
+    call each over the plus then the minus counts, which leaves every stream
+    and draw unchanged.  All replicas are then estimated, fitted and read out
+    as (trials, settings) arrays with the code that
+    :func:`sensitivity_from_fringe` runs on one row.  A trial
     fails exactly where that single-fringe evaluation would raise: fewer than
     5 usable points, a usable span under half a period, singular normal
     equations, a zero amplitude, a degenerate slope, or a vanished variance.
@@ -435,13 +438,15 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
     if not np.any(data.n_total > 0):
         raise ValueError("dataset carries no counts to resample")
     t, theta_w = _read_out_plan(data, t)
-    n_minus = data.n_total - data.n_plus
-    plus = np.empty((trials, data.theta.size), dtype=np.int64)
-    minus = np.empty_like(plus)
+    # One call over [n_plus, n_minus] draws the plus ports, then the minus
+    # ports: the same numbers as one call for each, in that order.
+    means = np.concatenate([data.n_plus,
+                            data.n_total - data.n_plus]).astype(float)
+    draws = np.empty((trials, means.size), dtype=np.int64)
+    family = StreamFamily(seed, MONTE_CARLO_TRIALS)
     for trial in range(trials):
-        gen = substream(seed, MONTE_CARLO_TRIALS, trial)
-        plus[trial] = gen.poisson(data.n_plus)
-        minus[trial] = gen.poisson(n_minus)
+        draws[trial] = family.at(trial).poisson(means)
+    plus, minus = np.split(draws, 2, axis=1)
     estimate, stderr = estimates_from_counts(plus, plus + minus)
     if data.noise_divisor is not None:
         estimate = np.clip(estimate / data.noise_divisor, -1.0, 1.0)

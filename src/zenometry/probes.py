@@ -21,7 +21,7 @@ import numpy as np
 
 from .decay import DecayModel
 from .fringes import _STRATEGIES, FringeDataset, estimates_from_counts
-from .rng import FRINGE_SETTINGS, substream
+from .rng import FRINGE_SETTINGS, StreamFamily
 
 __all__ = [
     "ORACLE_MAX_QUBITS",
@@ -306,11 +306,13 @@ def sample_fringe(spec: ProbeSpec, model: DecayModel, t: float, theta_grid,
                   shots_per_setting: int, seed: int) -> FringeDataset:
     """Simulate one fringe scan with Poisson/binomial counting noise.
 
-    Setting ``j`` gets its own counter-based stream ``(seed, j)``: first the
-    recorded event number ``M_j ~ Poisson(shots_per_setting)``, then
+    Setting ``j`` gets its own counter-based stream
+    ``substream(seed, FRINGE_SETTINGS, j)``: first the recorded event number
+    ``M_j ~ Poisson(shots_per_setting)``, then
     ``n+ ~ Binomial(M_j, (1 + <P>(theta_j)) / 2)``.  A zero-event draw leaves
-    the setting missing.  Fully deterministic given the seed, regardless of
-    evaluation order.
+    the setting missing.  The streams are drawn from one rekeyed
+    :class:`~zenometry.rng.StreamFamily`, which leaves them unchanged.  Fully
+    deterministic given the seed, regardless of evaluation order.
     """
     shots = int(shots_per_setting)
     if shots < 1:
@@ -321,8 +323,9 @@ def sample_fringe(spec: ProbeSpec, model: DecayModel, t: float, theta_grid,
     p_plus = np.clip((1.0 + expectation) / 2.0, 0.0, 1.0)
     n_plus = np.zeros(theta.size, dtype=np.int64)
     n_total = np.zeros(theta.size, dtype=np.int64)
+    family = StreamFamily(seed, FRINGE_SETTINGS)
     for j in range(theta.size):
-        gen = substream(seed, FRINGE_SETTINGS, j)
+        gen = family.at(j)
         events = int(gen.poisson(shots))
         n_total[j] = events
         if events:

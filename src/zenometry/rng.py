@@ -1,4 +1,12 @@
-"""Counter-based random streams for reproducible, order-independent sampling."""
+"""Counter-based random streams for reproducible, order-independent sampling.
+
+Stream ``(seed, domain, index)`` is Philox keyed by
+``[seed, domain << 48 | index]`` from counter 0.  :func:`substream` builds a
+fresh generator for one stream; :class:`StreamFamily` serves every index of
+one ``(seed, domain)`` from a single generator that it rekeys, with the same
+draws.  The generator that :meth:`StreamFamily.at` returns stays valid only
+until the next ``at()`` call on that family.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +18,22 @@ MONTE_CARLO_TRIALS = 2
 
 _INDEX_BITS = 48
 
+# Counter and buffer words of a fresh ``Philox``; the state setter copies them.
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def _key(seed: int, domain: int, index: int) -> np.ndarray:
+    """Philox key of stream ``(seed, domain, index)``, range-checked."""
+    seed = int(seed)
+    domain = int(domain)
+    index = int(index)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    if not (0 <= domain < 2**(64 - _INDEX_BITS)
+            and 0 <= index < 2**_INDEX_BITS):
+        raise ValueError("stream index out of range")
+    return np.array([seed, (domain << _INDEX_BITS) | index], dtype=np.uint64)
+
 
 def substream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Independent generator keyed by ``(seed, domain, index)``.
@@ -19,12 +43,35 @@ def substream(seed: int, domain: int, index: int) -> np.random.Generator:
     may run in any order (or concurrently) and still reproduce the sequential
     results bit for bit.
     """
-    seed = int(seed)
-    domain = int(domain)
-    index = int(index)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if domain < 0 or index < 0 or index >= 2**_INDEX_BITS:
-        raise ValueError("stream index out of range")
-    key = np.array([seed, (domain << _INDEX_BITS) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, domain, index)))
+
+
+class StreamFamily:
+    """The streams ``substream(seed, domain, index)`` for every ``index``,
+    served by one reused generator.
+
+    ``at(index)`` rekeys the family's one Philox through its documented
+    ``state`` dict (key of the stream, counter 0, empty buffer, no cached
+    32-bit half) and returns the family's generator, which then draws exactly
+    what ``substream(seed, domain, index)`` would.  That generator stays
+    valid only until the next ``at()``: rekeying moves it to the new stream.
+    """
+
+    def __init__(self, seed: int, domain: int) -> None:
+        self._seed = seed
+        self._domain = domain
+        self._bit_generator = np.random.Philox(key=_key(seed, domain, 0))
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def at(self, index: int) -> np.random.Generator:
+        """The family's generator, rekeyed to stream ``index``."""
+        self._bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS,
+                      "key": _key(self._seed, self._domain, index)},
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": 4,  # past the last word: nothing buffered
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._generator

@@ -26,6 +26,7 @@ from zenometry import (
     witness_expectation,
     witness_from_settings,
 )
+from zenometry.rng import FRINGE_SETTINGS, substream
 
 
 def random_state(rng, n):
@@ -320,6 +321,31 @@ class TestSampling:
         assert np.any(missing)
         assert np.all(data.n_total[missing] == 0)
         assert np.all(np.isnan(data.stderr[missing]))
+
+    @pytest.mark.parametrize("spec, shots, seed", [
+        (ProbeSpec("ghz", 4, 0.8671), 1_000_000, 42),
+        (ProbeSpec("product", 3, 0.9), 1_000_000, 7),
+        (ProbeSpec("ghz", 1, 1.0), 1, 3),
+    ], ids=["ghz-1e6", "product-1e6", "ghz-1-shot"])
+    def test_counts_follow_per_setting_substreams(self, spec, shots, seed):
+        model = Quadratic(1.0)
+        t = 0.3
+        grid = np.linspace(0.0, math.pi, 40)
+        data = sample_fringe(spec, model, t, grid, shots, seed=seed)
+        m = spec.fringe_frequency
+        amplitude = spec.visibility * math.exp(-m * model.gamma_at(t))
+        p_plus = np.clip((1.0 + amplitude * np.cos(m * grid)) / 2.0, 0.0, 1.0)
+        n_plus = np.zeros(grid.size, dtype=np.int64)
+        n_total = np.zeros(grid.size, dtype=np.int64)
+        for j in range(grid.size):
+            gen = substream(seed, FRINGE_SETTINGS, j)
+            n_total[j] = gen.poisson(shots)
+            if n_total[j]:
+                n_plus[j] = gen.binomial(n_total[j], p_plus[j])
+        if shots == 1:
+            assert np.any(n_total == 0)
+        np.testing.assert_array_equal(data.n_total, n_total)
+        np.testing.assert_array_equal(data.n_plus, n_plus)
 
     def test_shots_validation(self):
         spec = ProbeSpec("ghz", 1, 1.0)
