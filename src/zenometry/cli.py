@@ -135,11 +135,13 @@ def _run_fringe(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _bootstrapped(data, t: float, trials: int,
                   seed: int) -> tuple[SensitivityResult, dict]:
-    """Read-out with bootstrap error bars attached, and the trial counts."""
+    """Read-out with bootstrap error bars attached, and the trial counts:
+    all, failed, and failed per reason."""
     result = sensitivity_from_fringe(data, t)
     errors = monte_carlo_errorbar(data, t, trials, seed)
     return (apply_monte_carlo_errors(result, errors),
-            {"trials": errors.trials, "failed": errors.failed_trials})
+            {"trials": errors.trials, "failed": errors.failed_trials,
+             "failed_by_reason": errors.failures_by_reason})
 
 
 def _run_scaling(cfg: ExperimentConfig, out: Path) -> dict:
@@ -243,12 +245,12 @@ def _run_noise_sweep(cfg: ExperimentConfig, out: Path) -> dict:
                           "quadratic family")
     comments = _comments(cfg, "noise-sweep")
     ns = range(1, cfg.n_max + 1)
+    # the bounds depend on N and c only, so every visibility shares them
+    bounds = reference_bounds(ns, cfg.model_coefficient)
     rows = []
     crossings = {}
     for v in cfg.fusion_visibilities:
         sweep = noise_sweep(v, ns, cfg.model_coefficient)
-        bounds = reference_bounds([r.n for r in sweep.rows],
-                                  cfg.model_coefficient)
         for row, hl in zip(sweep.rows, bounds.hl):
             rows.append((v, row.n, row.d2omega_t_ghz, row.bound_sql, hl,
                          row.beats_sql))

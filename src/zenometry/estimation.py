@@ -206,16 +206,18 @@ class FitResult:
         return float(math.sqrt(max(self.covariance[1, 1], 0.0)))
 
 
-# Read-out failure codes in check order (0 is success, 1-4 from ``_fit_rows``).
-# The single-fringe functions raise the matching error, the bootstrap counts it.
+# Read-out failure codes in check order (0 is success, 1-4 from ``_fit_rows``):
+# a short, stable reason name, the error type and its message.  The
+# single-fringe functions raise the matching error, the bootstrap counts it.
 _FAILURES = (
     None,
-    (ValueError, "need at least 5 usable points to fit"),
-    (ValueError, "usable points must span at least half a period"),
-    (FitError, "normal equations are singular"),
-    (FitError, "covariance is singular at the solution"),
-    (ValueError, "slope at the working point is degenerate"),
-    (ValueError, "projection-noise variance vanished at the working point"),
+    ("few_points", ValueError, "need at least 5 usable points to fit"),
+    ("short_span", ValueError, "usable points must span at least half a period"),
+    ("singular_fit", FitError, "normal equations are singular"),
+    ("singular_covariance", FitError, "covariance is singular at the solution"),
+    ("degenerate_slope", ValueError, "slope at the working point is degenerate"),
+    ("zero_variance", ValueError,
+     "projection-noise variance vanished at the working point"),
 )
 
 
@@ -284,7 +286,7 @@ def fit_fringe(data: FringeDataset) -> FitResult:
     amplitudes, phases, weighted_rows, failures = _fit_rows(
         data.theta, data.estimate[None, :], data.stderr[None, :], m)
     if failures[0]:
-        kind, message = _FAILURES[failures[0]]
+        _, kind, message = _FAILURES[failures[0]]
         raise kind(message)
     amplitude = float(amplitudes[0])
     phase = float(phases[0])
@@ -383,7 +385,7 @@ def sensitivity_from_fringe(data: FringeDataset, t: float) -> SensitivityResult:
     amplitude, expectation, domega, d2, failure = _read_out(
         data, data.estimate[None, :], data.stderr[None, :], t, theta_w)
     if failure[0]:
-        kind, message = _FAILURES[failure[0]]
+        _, kind, message = _FAILURES[failure[0]]
         raise kind(message)
     return SensitivityResult(
         strategy=data.strategy,
@@ -406,6 +408,15 @@ class MonteCarloErrors:
     fisher: float
     failed_trials: int
     trials: int
+    # trials per read-out code: index 0 succeeded, index k failed with the
+    # k-th reason of ``_FAILURES``
+    failure_counts: tuple[int, ...]
+
+    @property
+    def failures_by_reason(self) -> dict[str, int]:
+        """Failed trials per reason name, every reason listed."""
+        return {reason[0]: count for reason, count
+                in zip(_FAILURES[1:], self.failure_counts[1:])}
 
 
 def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
@@ -426,9 +437,9 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
     fails exactly where that single-fringe evaluation would raise: fewer than
     5 usable points, a usable span under half a period, singular normal
     equations, a zero amplitude, a degenerate slope, or a vanished variance.
-    Failed trials are dropped; more than 10% of them failing is an error.  A
-    time or grid that every trial would reject raises ``ValueError`` before
-    any resampling.
+    Failed trials are dropped and counted per reason (``failure_counts``);
+    more than 10% of them failing is an error.  A time or grid that every
+    trial would reject raises ``ValueError`` before any resampling.
     """
     trials = int(trials)
     if trials < 100:
@@ -454,7 +465,8 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
 
     amplitude, _, domega, d2, failure = _read_out(data, estimate, stderr, t,
                                                   theta_w)
-    n_failed = int(np.count_nonzero(failure))
+    counts = np.bincount(failure, minlength=len(_FAILURES))
+    n_failed = trials - int(counts[0])
     if n_failed > 0.1 * trials:
         raise RuntimeError(
             f"{n_failed} of {trials} resampling trials failed; "
@@ -472,6 +484,7 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
         fisher=spread(1.0 / (data.n_qubits * d2)),
         failed_trials=n_failed,
         trials=trials,
+        failure_counts=tuple(map(int, counts)),
     )
 
 

@@ -3,17 +3,27 @@
 A table is optional ``# key=value`` comment rows, one exact header row, and
 one comma-separated row per record.  Floats are written with ``repr`` (the
 shortest form that round-trips), integers in decimal, booleans as
-``true``/``false`` and ``None`` as an empty cell.  The reader skips blank
-lines and comment rows wherever they appear, strips whitespace around cells,
-unquotes quoted cells, and reports a malformed row as ``path:line``.
+``true``/``false`` and ``None`` as an empty cell.  The writer formats rows
+in fixed-size chunks, a column at a time: a column of exact ``float`` or
+exact ``int`` cells is mapped through that type's ``repr``, every other
+column cell by cell through the one cell rule, and each chunk goes to the
+open file at once.  The reader skips blank lines and comment rows wherever
+they appear, strips whitespace around cells, unquotes quoted cells, and
+reports a malformed row as ``path:line``.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
+
+# Rows formatted and written per chunk: enough to amortise the per-column
+# type dispatch, few enough that a chunk's strings stay small.  On a
+# 100k-row table 1024 wrote faster than 4096 or 16384, and as fast as 256.
+_CHUNK_ROWS = 1024
 
 
 def _format_cell(value) -> str:
@@ -28,17 +38,38 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _format_column(cells):
+    # Exact types only: bool is an int, and _format_cell writes it as
+    # true/false; numpy scalars and None also take the cell rule.
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return map(float.__repr__, cells)
+    if kinds == {int}:
+        return map(int.__repr__, cells)
+    return map(_format_cell, cells)
+
+
 def write_table(path, comments, header, rows) -> None:
     """Write comment rows, the header and one line per row to ``path``.
 
     A comment is a string, written as it is, or a ``(key, value)`` pair,
-    written ``key=value`` with the value formatted as a cell.
+    written ``key=value`` with the value formatted as a cell.  ``rows`` is
+    any iterable of rows of one length (a ragged row raises ValueError).  It
+    is consumed in chunks of ``_CHUNK_ROWS`` rows; each chunk is formatted a
+    column at a time, exact ``float`` and ``int`` columns by their type's
+    ``repr`` and any other column by ``_format_cell``, and written to the
+    open file, so no copy of the whole text is ever built.
     """
     lines = [f"# {c}" if isinstance(c, str) else f"# {c[0]}={_format_cell(c[1])}"
              for c in comments]
     lines.append(",".join(header))
-    lines += [",".join(map(_format_cell, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = iter(rows)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            # strict: a plain zip would cut every row to the shortest one
+            columns = [_format_column(cells) for cells in zip(*chunk, strict=True)]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def convert_cell(where, name, convert, cell):

@@ -14,8 +14,12 @@ import pytest
 import zenometry
 import zenometry.cli
 from zenometry import sample_fringe
+from zenometry.analysis import noise_sweep, reference_bounds
 from zenometry.cli import _theta_grid, main
-from zenometry.config import ExperimentConfig
+from zenometry.config import ExperimentConfig, config_hash, load_config
+from zenometry.tables import _CHUNK_ROWS
+
+from test_tables import per_row_reference
 
 
 def run(tmp_path, command, config_text=None, extra=(), name="exp.ini"):
@@ -31,6 +35,17 @@ def run(tmp_path, command, config_text=None, extra=(), name="exp.ini"):
     if summary_path.is_file():
         summary = json.loads(summary_path.read_text())
     return rc, summary
+
+
+# bootstrap failure reasons in read-out check order, as summary.json names them
+REASONS = ("few_points", "short_span", "singular_fit", "singular_covariance",
+           "degenerate_slope", "zero_variance")
+
+
+def reasons(**failed):
+    """Failed bootstrap trials per reason, every reason listed."""
+    assert set(failed) <= set(REASONS)
+    return {name: failed.get(name, 0) for name in REASONS}
 
 
 def read_csv(path):
@@ -153,8 +168,11 @@ class TestScaling:
             "shots_per_setting = 3\ntrials = 100\n")
         assert rc == 0
 
+        # every failure here is a replica whose usable points span less
+        # than half a period
         def counts(*failed):
-            return {str(n): {"trials": 100, "failed": f}
+            return {str(n): {"trials": 100, "failed": f,
+                             "failed_by_reason": reasons(short_span=f)}
                     for n, f in enumerate(failed, start=1)}
         assert summary["bootstrap"] == {"raw": counts(6, 0, 0),
                                         "subtracted": counts(3, 0, 0)}
@@ -220,7 +238,8 @@ class TestCompare:
         stderr = float(row["r_squared_stderr"])
         assert stderr > 0.0
         assert abs(float(row["r_squared"]) - math.sqrt(2.0)) < 5.0 * stderr
-        counts = {"2": {"trials": 100, "failed": 0}}
+        counts = {"2": {"trials": 100, "failed": 0,
+                        "failed_by_reason": reasons()}}
         assert summary["bootstrap"] == {"test": counts, "reference": counts}
 
     def test_markovian_test_channel_rejected(self, tmp_path):
@@ -244,6 +263,30 @@ class TestNoiseSweep:
                  for r in rows}
         assert flags[("0.99", 280)] == "true"
         assert flags[("0.99", 281)] == "false"
+
+    def test_sweep_file_matches_per_row_reference(self, tmp_path):
+        # 3 x 5000 rows cross several of the writer's chunk boundaries; the
+        # reference computes the bounds afresh for every visibility
+        text = ("[noise-sweep]\nfusion_visibilities = 0.99, 0.9995, 1.0\n"
+                "n_max = 5000\nmodel_coefficient = 0.7\n")
+        rc, summary = run(tmp_path, "noise-sweep", text)
+        assert rc == 0
+        cfg = load_config(tmp_path / "exp.ini", "noise-sweep")
+        rows = []
+        for v in (0.99, 0.9995, 1.0):
+            sweep = noise_sweep(v, range(1, 5001), 0.7)
+            bounds = reference_bounds([r.n for r in sweep.rows], 0.7)
+            rows += [(v, r.n, r.d2omega_t_ghz, r.bound_sql, hl, r.beats_sql)
+                     for r, hl in zip(sweep.rows, bounds.hl)]
+        expected = per_row_reference(
+            [("config_sha256", config_hash(cfg, "noise-sweep"))],
+            ("fusion_visibility", "N", "d2omegaT_ghz", "bound_sql",
+             "bound_hl", "beats_sql"), rows)
+        assert len(rows) > 3 * _CHUNK_ROWS
+        assert (tmp_path / "out" / "noise_sweep.csv").read_bytes() \
+            == expected.encode()
+        assert summary["crossings"] == {"0.99": 280, "0.9995": 9115,
+                                        "1.0": None}
 
     def test_requires_quadratic(self, tmp_path):
         rc, _ = run(tmp_path, "noise-sweep",

@@ -1,6 +1,7 @@
 """Optimal times, closed forms, fitting, the stencil, and error bars."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -97,10 +98,11 @@ def scalar_read_out(replica, t):
     return fit.amplitude, domega, t * variance / (repetitions * domega * domega)
 
 
-def bootstrap_reference(data, t, trials, seed):
+def bootstrap_reference(data, t, trials, seed, messages=None):
     """Per-trial bootstrap: one validated replica dataset per trial, run
     through :func:`scalar_read_out`.  Returns the failure count and the
-    spreads as ``(amplitude, derivative, d2omega_t, fisher)``."""
+    spreads as ``(amplitude, derivative, d2omega_t, fisher)``; counts each
+    failure's error message into the ``messages`` Counter if one is given."""
     n_minus = data.n_total - data.n_plus
     rows = []
     failed = 0
@@ -116,8 +118,10 @@ def bootstrap_reference(data, t, trials, seed):
                                stderr=stderr)
         try:
             amplitude, domega, d2 = scalar_read_out(replica, t)
-        except (ValueError, FitError):
+        except (ValueError, FitError) as exc:
             failed += 1
+            if messages is not None:
+                messages[str(exc)] += 1
             continue
         rows.append((amplitude, domega, d2, 1.0 / (data.n_qubits * d2)))
     return failed, [float(np.std(col, ddof=1)) for col in zip(*rows)]
@@ -553,6 +557,26 @@ class TestMonteCarlo:
                        errors.fisher)
             for got, want in zip(batched, spreads):
                 assert got == pytest.approx(want, rel=1e-12), label
+
+    def test_failures_counted_by_reason(self):
+        names = {message: name for name, _, message in estimation._FAILURES[1:]}
+        pinned = {"readme N=4": {},
+                  "N=3 one shot": {"zero_variance": 4},
+                  "N=6 three shots, subtracted": {"zero_variance": 2}}
+        for label, data, t, trials, seed, failures in self.fragile_cases():
+            errors = monte_carlo_errorbar(data, t, trials, seed)
+            messages = Counter()
+            bootstrap_reference(data, t, trials, seed, messages)
+            none = dict.fromkeys(names.values(), 0)
+            expected = dict(none, **pinned[label])
+            assert dict(none, **{names[m]: count for m, count
+                                 in messages.items()}) == expected, label
+            assert errors.failures_by_reason == expected, label
+            assert list(errors.failures_by_reason) == [
+                "few_points", "short_span", "singular_fit",
+                "singular_covariance", "degenerate_slope", "zero_variance"]
+            assert errors.failure_counts == (trials - failures,
+                                             *expected.values()), label
 
     def test_shared_rejections_raise_at_once(self):
         data, t = self.ideal_dataset()

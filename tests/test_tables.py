@@ -1,12 +1,14 @@
 """The one table format, as every reader of it sees it."""
 
+import math
+
 import numpy as np
 import pytest
 
 from zenometry.channel import TabulatedMode, load_bd_calibration
 from zenometry.decay import Tabulated
 from zenometry.fringes import FringeDataset
-from zenometry.tables import read_table, write_table
+from zenometry.tables import _CHUNK_ROWS, _format_cell, read_table, write_table
 
 # reader, required comment rows, header, three data rows, and the values the
 # reader loaded (compared between variants of one file).
@@ -92,3 +94,67 @@ def test_writer_cells_round_trip(tmp_path):
     meta, rows = read_table(path, header, (float, float, int, str, str, str, str))
     assert meta == {"seed": "42", "visibility": ""}
     assert rows == [(0.1 + 0.2, 1e-300, 7, "true", "false", "", "ghz")]
+
+
+def per_row_reference(comments, header, rows) -> str:
+    """The text the writer wrote before it formatted rows by column: every
+    cell through ``_format_cell``, one row at a time."""
+    lines = [f"# {c}" if isinstance(c, str) else f"# {c[0]}={_format_cell(c[1])}"
+             for c in comments]
+    lines.append(",".join(header))
+    lines += [",".join(map(_format_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2,
+                  -1.5e-300, 1e22, 5e-324, 2.0 / 3.0)
+MIXED_CELLS = (1.25, -7, True, False, np.float64(-0.0), np.float64(1e-300),
+               np.int64(-12), np.bool_(True), np.bool_(False), None, "ghz",
+               "", np.float64(math.nan), -math.inf)
+WIDE_HEADER = ("float_then_none", "int", "bool", "mixed", "np_float",
+               "np_int", "text", "int_or_bool")
+
+
+def wide_rows(count: int) -> list[tuple]:
+    """Rows that put every cell kind in every chunk.  The first column is
+    exact floats up to the first row of the second chunk, which is None; the
+    last is exact ints in the first chunk and holds one bool in the second."""
+    rows = []
+    for i in range(count):
+        rows.append((
+            None if i == _CHUNK_ROWS else SPECIAL_FLOATS[i % 10] * (i + 1),
+            (-1) ** i * i * 10**(i % 25),
+            i % 3 == 0,
+            MIXED_CELLS[i % len(MIXED_CELLS)],
+            np.float64(i / 7.0),
+            np.int64(-i),
+            f"s{i}",
+            (i == _CHUNK_ROWS + 1) or i,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                   _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3])
+def test_writer_matches_per_row_reference(tmp_path, count):
+    comments = ["free text", ("seed", 42), ("visibility", None),
+                ("divisor", np.float64(0.81)), ("flag", True)]
+    rows = wide_rows(count)
+    expected = per_row_reference(comments, WIDE_HEADER, rows)
+    assert expected.count("\n") == len(comments) + 1 + count
+    for name, given in (("list.csv", rows), ("iterator.csv", iter(rows))):
+        path = tmp_path / name
+        write_table(path, comments, WIDE_HEADER, given)
+        assert path.read_bytes() == expected.encode()
+    first = rows[:_CHUNK_ROWS]
+    assert {type(r[0]) for r in first} <= {float}
+    assert {type(r[-1]) for r in first} <= {int}
+    assert {type(r[2]) for r in rows} <= {bool}
+    if count > _CHUNK_ROWS + 1:
+        assert rows[_CHUNK_ROWS][0] is None
+        assert rows[_CHUNK_ROWS + 1][-1] is True
+
+
+def test_writer_rejects_ragged_rows(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "ragged.csv", [], ("a", "b"), [(1, 2), (3,)])
