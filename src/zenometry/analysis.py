@@ -138,10 +138,24 @@ class NoiseSweepRow:
 
 @dataclass(frozen=True)
 class NoiseSweepResult:
+    """One visibility's sweep, held as columns with one entry per N.
+
+    ``rows`` builds the same table as one ``NoiseSweepRow`` per N, for
+    callers that read it row by row.
+    """
+
     fusion_visibility: float
     gamma_coefficient: float
-    rows: tuple[NoiseSweepRow, ...]
+    n_values: tuple[int, ...]
+    d2omega_t_ghz: tuple[float, ...]
+    bound_sql: tuple[float, ...]
+    beats_sql: tuple[bool, ...]
     crossing: int | None
+
+    @property
+    def rows(self) -> tuple[NoiseSweepRow, ...]:
+        return tuple(map(NoiseSweepRow, self.n_values, self.d2omega_t_ghz,
+                         self.bound_sql, self.beats_sql))
 
 
 def noise_sweep(fusion_visibility: float, n_values,
@@ -149,11 +163,13 @@ def noise_sweep(fusion_visibility: float, n_values,
     """White-noise GHZ versus the standard quantum limit, N by N.
 
     The fusion-diluted GHZ probe at the Zeno optimum reaches
-    ``2 sqrt(e c) / (N**1.5 v**N)``; it beats the SQL exactly when
-    ``sqrt(N) v**N > 1``.  ``crossing`` is the largest qubit number that
-    still beats the SQL (None when the advantage never appears, or never
-    disappears as for v = 1).  Underflow of ``v**N`` reports an infinite
-    variance rather than an error.
+    ``2 sqrt(e c) / (N**1.5 v**N)``; it beats the SQL ``2 sqrt(e c) / N``
+    exactly when ``sqrt(N) v**N > 1``.  The result holds one column per
+    quantity, computed N by N in Python floats, so at v = 1 the GHZ column
+    equals ``reference_bounds(...).zl`` exactly.  ``crossing`` is the largest
+    qubit number that still beats the SQL (None when the advantage never
+    appears, or never disappears as for v = 1).  Underflow of ``v**N``
+    reports an infinite variance rather than an error.
     """
     v = float(fusion_visibility)
     if not 0.0 < v <= 1.0:
@@ -161,20 +177,20 @@ def noise_sweep(fusion_visibility: float, n_values,
     c = float(gamma_coefficient)
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError("decay coefficient must be positive")
-    ns = [int(n) for n in n_values]
+    ns = tuple(int(n) for n in n_values)
     if not ns or any(n < 1 for n in ns):
         raise ValueError("need qubit counts >= 1")
     anchor = 2.0 * math.sqrt(math.e * c)
-    rows = []
-    for n in ns:
-        sql = anchor / n
-        denominator = n**1.5 * v**n
-        d2 = anchor / denominator if denominator > 0.0 else math.inf
-        rows.append(NoiseSweepRow(n, d2, sql, d2 < sql))
+    sql = tuple(anchor / n for n in ns)
+    d2 = tuple(anchor / denominator if denominator > 0.0 else math.inf
+               for denominator in (n**1.5 * v**n for n in ns))
     return NoiseSweepResult(
         fusion_visibility=v,
         gamma_coefficient=c,
-        rows=tuple(rows),
+        n_values=ns,
+        d2omega_t_ghz=d2,
+        bound_sql=sql,
+        beats_sql=tuple(map(float.__lt__, d2, sql)),
         crossing=advantage_crossing(v),
     )
 

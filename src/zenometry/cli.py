@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from .probes import (
     witness_expectation,
     witness_from_settings,
 )
-from .tables import write_table
+from .tables import format_column, write_table
 
 __all__ = ["main", "build_parser"]
 
@@ -245,19 +246,27 @@ def _run_noise_sweep(cfg: ExperimentConfig, out: Path) -> dict:
                           "quadratic family")
     comments = _comments(cfg, "noise-sweep")
     ns = range(1, cfg.n_max + 1)
-    # the bounds depend on N and c only, so every visibility shares them
+    # N and its SQL and HL bounds do not depend on the visibility, so every
+    # visibility shares their text; each distinct cell is formatted once
     bounds = reference_bounds(ns, cfg.model_coefficient)
-    rows = []
+    n_text, sql_text, hl_text = (tuple(format_column(column)) for column in
+                                 (bounds.n_values, bounds.sql, bounds.hl))
     crossings = {}
-    for v in cfg.fusion_visibilities:
-        sweep = noise_sweep(v, ns, cfg.model_coefficient)
-        for row, hl in zip(sweep.rows, bounds.hl):
-            rows.append((v, row.n, row.d2omega_t_ghz, row.bound_sql, hl,
-                         row.beats_sql))
-        crossings[repr(v)] = sweep.crossing
+
+    # one visibility's columns at a time; write_table drains the rows, and
+    # so fills crossings, before the summary is returned
+    def rows():
+        for v in cfg.fusion_visibilities:
+            sweep = noise_sweep(v, ns, cfg.model_coefficient)
+            crossings[repr(v)] = sweep.crossing
+            (v_text,) = format_column((v,))
+            yield from zip(repeat(v_text), n_text,
+                           format_column(sweep.d2omega_t_ghz), sql_text,
+                           hl_text, format_column(sweep.beats_sql))
+
     write_table(out / "noise_sweep.csv", comments,
                 ("fusion_visibility", "N", "d2omegaT_ghz", "bound_sql",
-                 "bound_hl", "beats_sql"), rows)
+                 "bound_hl", "beats_sql"), rows())
     return {"crossings": crossings}
 
 

@@ -215,6 +215,8 @@ def validate_config(cfg: ExperimentConfig, section: str) -> None:
         fail("model_kind", f"must be one of {', '.join(_MODEL_KINDS)}")
     if not cfg.n_values or any(n < 1 for n in cfg.n_values):
         fail("n_values", "every qubit count must be >= 1")
+    if len(set(cfg.n_values)) != len(cfg.n_values):
+        fail("n_values", "every qubit count must appear once")
     if cfg.model_kind == "tabulated":
         if cfg.model_csv is None:
             fail("model_csv", "required for a tabulated model")
@@ -252,6 +254,8 @@ def validate_config(cfg: ExperimentConfig, section: str) -> None:
     if not cfg.fusion_visibilities or any(
             not 0.0 < v <= 1.0 for v in cfg.fusion_visibilities):
         fail("fusion_visibilities", "every value must lie in (0, 1]")
+    if len(set(cfg.fusion_visibilities)) != len(cfg.fusion_visibilities):
+        fail("fusion_visibilities", "every value must appear once")
     if cfg.n_max < 1:
         fail("n_max", "must be >= 1")
     if cfg.waist_mm <= 0.0 or not math.isfinite(cfg.waist_mm):

@@ -3,13 +3,17 @@
 A table is optional ``# key=value`` comment rows, one exact header row, and
 one comma-separated row per record.  Floats are written with ``repr`` (the
 shortest form that round-trips), integers in decimal, booleans as
-``true``/``false`` and ``None`` as an empty cell.  The writer formats rows
-in fixed-size chunks, a column at a time: a column of exact ``float`` or
-exact ``int`` cells is mapped through that type's ``repr``, every other
-column cell by cell through the one cell rule, and each chunk goes to the
-open file at once.  The reader skips blank lines and comment rows wherever
-they appear, strips whitespace around cells, unquotes quoted cells, and
-reports a malformed row as ``path:line``.
+``true``/``false`` and ``None`` as an empty cell.  ``format_column``
+applies that one cell rule to a whole column: a column of exact ``float``
+or exact ``int`` cells is mapped through that type's ``repr``, one of exact
+``str`` cells passes through as it is, one of exact ``bool`` cells is
+looked up, and any other column goes cell by cell.  The writer formats rows
+in fixed-size chunks, a column at a time, and writes each chunk to the open
+file at once; a caller that formats a column shared by many rows once, with
+``format_column``, hands the writer ``str`` cells that cost it nothing.
+The reader skips blank lines and comment rows wherever they appear, strips
+whitespace around cells, unquotes quoted cells, and reports a malformed row
+as ``path:line``.
 """
 
 from __future__ import annotations
@@ -38,14 +42,28 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _format_column(cells):
-    # Exact types only: bool is an int, and _format_cell writes it as
-    # true/false; numpy scalars and None also take the cell rule.
+_BOOL_TEXT = {False: "false", True: "true"}
+
+
+def format_column(cells):
+    """The text of each of ``cells`` under the cell rule, as an iterable.
+
+    Dispatches once on the column's exact cell types: all ``float`` or all
+    ``int`` map that type's ``repr``, all ``str`` return ``cells`` itself
+    (``str(s) is s``), all ``bool`` look their text up, and any mix, numpy
+    scalar or ``None`` takes the cell rule cell by cell.
+    """
+    # Exact types only: bool is an int, and np.str_ and np.bool_ are not
+    # str and bool, so an isinstance test would mix the paths up.
     kinds = set(map(type, cells))
     if kinds == {float}:
         return map(float.__repr__, cells)
     if kinds == {int}:
         return map(int.__repr__, cells)
+    if kinds == {str}:
+        return cells
+    if kinds == {bool}:
+        return map(_BOOL_TEXT.__getitem__, cells)
     return map(_format_cell, cells)
 
 
@@ -54,11 +72,11 @@ def write_table(path, comments, header, rows) -> None:
 
     A comment is a string, written as it is, or a ``(key, value)`` pair,
     written ``key=value`` with the value formatted as a cell.  ``rows`` is
-    any iterable of rows of one length (a ragged row raises ValueError).  It
-    is consumed in chunks of ``_CHUNK_ROWS`` rows; each chunk is formatted a
-    column at a time, exact ``float`` and ``int`` columns by their type's
-    ``repr`` and any other column by ``_format_cell``, and written to the
-    open file, so no copy of the whole text is ever built.
+    any iterable of rows of one length (a ragged row raises ValueError),
+    lazy ones included.  It is consumed in chunks of ``_CHUNK_ROWS`` rows;
+    each chunk is formatted a column at a time by ``format_column`` and
+    written to the open file, so no copy of the whole text is ever built.
+    Cells that are already ``str`` are written as they are.
     """
     lines = [f"# {c}" if isinstance(c, str) else f"# {c[0]}={_format_cell(c[1])}"
              for c in comments]
@@ -68,7 +86,7 @@ def write_table(path, comments, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             # strict: a plain zip would cut every row to the shortest one
-            columns = [_format_column(cells) for cells in zip(*chunk, strict=True)]
+            columns = [format_column(cells) for cells in zip(*chunk, strict=True)]
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from zenometry import (
     Markovian,
+    NoiseSweepRow,
     Quadratic,
     advantage_crossing,
     noise_sweep,
@@ -113,7 +114,43 @@ class TestRelativeResolution:
             relative_resolution(0, Markovian(1.0), Quadratic(1.0))
 
 
+def per_row_sweep(v, ns, c=1.0):
+    """The rows ``noise_sweep`` built one N at a time before it held columns."""
+    anchor = 2.0 * math.sqrt(math.e * c)
+    rows = []
+    for n in ns:
+        sql = anchor / n
+        denominator = n**1.5 * v**n
+        d2 = anchor / denominator if denominator > 0.0 else math.inf
+        rows.append(NoiseSweepRow(n, d2, sql, d2 < sql))
+    return tuple(rows)
+
+
 class TestNoiseSweep:
+    # v = 0.1 underflows v**N (to an infinite variance) well before N = 400
+    @pytest.mark.parametrize("v, c", [(0.1, 1.0), (0.9, 1.0), (0.9, 0.7),
+                                      (1.0, 1.0)])
+    def test_columns_match_per_row_reference(self, v, c):
+        ns = range(1, 401)
+        sweep = noise_sweep(v, ns, c)
+        expected = per_row_sweep(v, ns, c)
+        assert sweep.rows == expected
+        assert sweep.n_values == tuple(r.n for r in expected)
+        assert sweep.d2omega_t_ghz == tuple(r.d2omega_t_ghz for r in expected)
+        assert sweep.bound_sql == tuple(r.bound_sql for r in expected)
+        assert sweep.beats_sql == tuple(r.beats_sql for r in expected)
+        # exact types, so the table writer takes its one-type column paths
+        assert {type(x) for x in sweep.n_values} == {int}
+        assert {type(x) for x in sweep.d2omega_t_ghz + sweep.bound_sql} \
+            == {float}
+        assert {type(x) for x in sweep.beats_sql} == {bool}
+        if v == 0.1:
+            assert math.isinf(sweep.d2omega_t_ghz[-1])
+        if v == 1.0:
+            zl = reference_bounds(ns, 1.0).zl
+            assert all(d2 == z for d2, z in zip(sweep.d2omega_t_ghz, zl,
+                                                strict=True))
+
     def test_ideal_visibility_reproduces_zeno_bound(self):
         ns = list(range(1, 51))
         sweep = noise_sweep(1.0, ns)

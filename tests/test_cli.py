@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,15 @@ class TestScaling:
         assert calls == [1, 2, 3]
         assert set(summary["bootstrap"]) == {"raw", "subtracted"}
 
+    def test_duplicate_qubit_count_rejected(self, tmp_path, capsys):
+        # a repeated N would enter the slope fit twice
+        rc, summary = run(tmp_path, "scaling",
+                          "[scaling]\nn_values = 1, 2, 3, 2\n")
+        assert rc == 2
+        assert summary is None
+        assert "[scaling] n_values: every qubit count must appear once" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
     def test_zero_interrogation_time_rejected(self, tmp_path, capsys, mode):
         rc, summary = run(
@@ -292,6 +302,32 @@ class TestNoiseSweep:
         rc, _ = run(tmp_path, "noise-sweep",
                     "[noise-sweep]\nmodel_kind = markovian\n")
         assert rc == 2
+
+    def test_duplicate_visibility_rejected(self, tmp_path, capsys):
+        rc, summary = run(tmp_path, "noise-sweep",
+                          "[noise-sweep]\nfusion_visibilities = 0.99, 0.990\n")
+        assert rc == 2
+        assert summary is None
+        assert not (tmp_path / "out" / "noise_sweep.csv").exists()
+        assert "[noise-sweep] fusion_visibilities: every value must appear " \
+            "once" in capsys.readouterr().err
+
+    def test_memory_holds_one_sweep_and_no_row_objects(self, tmp_path):
+        # The benchmark's table: 4 x 25000 rows, 8.3 MB.  The peak read
+        # 14.0 MiB with one visibility's columns alive at a time and the
+        # rows streamed to the writer; 19.5 MiB with all four sweeps held,
+        # 23.3 MiB with one NoiseSweepRow and one tuple per row, and
+        # 26.7 MiB with the streamed rows collected into a list first.
+        text = ("[noise-sweep]\nfusion_visibilities = 0.99, 0.999, 0.9999, "
+                "1.0\nn_max = 25000\n")
+        tracemalloc.start()
+        try:
+            rc, _ = run(tmp_path, "noise-sweep", text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 18 * 2**20
 
 
 class TestWitness:

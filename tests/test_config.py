@@ -147,6 +147,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\(0, 1\]"):
             self.check(visibilities=(1.5,) * 6)
 
+    def test_duplicates_rejected(self):
+        with pytest.raises(ConfigError,
+                           match=r"\[scaling\] n_values: .* once"):
+            self.check("scaling", n_values=(1, 2, 3, 2))
+        with pytest.raises(ConfigError,
+                           match=r"\[noise-sweep\] fusion_visibilities: .* once"):
+            self.check("noise-sweep", fusion_visibilities=(0.99, 1.0, 0.99))
+        # duplicates are equal numbers, not equal spellings
+        cfg = parse_config_text("[noise-sweep]\nfusion_visibilities = "
+                                "0.99, 0.990\n")["noise-sweep"]
+        with pytest.raises(ConfigError, match="fusion_visibilities"):
+            self.check("noise-sweep", fusion_visibilities=cfg.fusion_visibilities)
+
     def test_tabulated_needs_existing_csv(self, tmp_path):
         with pytest.raises(ConfigError, match="model_csv"):
             self.check(model_kind="tabulated")

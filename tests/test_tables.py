@@ -112,13 +112,23 @@ MIXED_CELLS = (1.25, -7, True, False, np.float64(-0.0), np.float64(1e-300),
                np.int64(-12), np.bool_(True), np.bool_(False), None, "ghz",
                "", np.float64(math.nan), -math.inf)
 WIDE_HEADER = ("float_then_none", "int", "bool", "mixed", "np_float",
-               "np_int", "text", "int_or_bool")
+               "np_int", "text", "int_or_bool", "str_then_mixed",
+               "bool_then_np")
+
+
+def str_then_mixed(i: int):
+    if i == _CHUNK_ROWS:
+        return None
+    if i == _CHUNK_ROWS + 1:
+        return np.str_("np")
+    return ("", "ghz", "a b", "1.5")[i % 4]
 
 
 def wide_rows(count: int) -> list[tuple]:
-    """Rows that put every cell kind in every chunk.  The first column is
-    exact floats up to the first row of the second chunk, which is None; the
-    last is exact ints in the first chunk and holds one bool in the second."""
+    """Rows that put every cell kind in every chunk.  Some columns hold one
+    exact type in the first chunk and break it in the second: exact floats,
+    then None; exact ints, then one bool; exact strs, then None and an
+    ``np.str_``; exact bools, then an ``np.bool_``."""
     rows = []
     for i in range(count):
         rows.append((
@@ -130,6 +140,8 @@ def wide_rows(count: int) -> list[tuple]:
             np.int64(-i),
             f"s{i}",
             (i == _CHUNK_ROWS + 1) or i,
+            str_then_mixed(i),
+            np.bool_(i % 2) if i == _CHUNK_ROWS + 2 else i % 5 == 1,
         ))
     return rows
 
@@ -147,12 +159,19 @@ def test_writer_matches_per_row_reference(tmp_path, count):
         write_table(path, comments, WIDE_HEADER, given)
         assert path.read_bytes() == expected.encode()
     first = rows[:_CHUNK_ROWS]
-    assert {type(r[0]) for r in first} <= {float}
-    assert {type(r[-1]) for r in first} <= {int}
-    assert {type(r[2]) for r in rows} <= {bool}
-    if count > _CHUNK_ROWS + 1:
-        assert rows[_CHUNK_ROWS][0] is None
-        assert rows[_CHUNK_ROWS + 1][-1] is True
+    column = {name: i for i, name in enumerate(WIDE_HEADER)}
+    for name, kind in (("float_then_none", float), ("int_or_bool", int),
+                       ("str_then_mixed", str), ("bool_then_np", bool)):
+        assert {type(r[column[name]]) for r in first} <= {kind}
+    assert {type(r[column["bool"]]) for r in rows} <= {bool}
+    assert {type(r[column["text"]]) for r in rows} <= {str}
+    if count > _CHUNK_ROWS + 2:
+        second = rows[_CHUNK_ROWS:]
+        assert second[0][column["float_then_none"]] is None
+        assert second[1][column["int_or_bool"]] is True
+        assert second[0][column["str_then_mixed"]] is None
+        assert type(second[1][column["str_then_mixed"]]) is np.str_
+        assert type(second[2][column["bool_then_np"]]) is np.bool_
 
 
 def test_writer_rejects_ragged_rows(tmp_path):
