@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 # Dense states are exact but exponential in N: 4096x4096, 256 MiB, at the cap.
-# There evolve_oracle holds four states and the witness route one; README
-# gives the measured time and memory budget.
+# There evolve_oracle holds two states, its input and the evolved copy, and the
+# witness route one; README gives the measured time and memory budget.
 ORACLE_MAX_QUBITS = 12
 
 
@@ -190,49 +190,26 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
     return DensityMatrix(rho, _owned=True)
 
 
-# Widest column block that the column product handles as one matmul with
-# ``kron(op^*, I).T``.  Wider blocks use a batched 2x2 matmul; narrower ones
-# would make that batch millions of tiny products, each slower than its data.
-_KRON_MAX_RIGHT = 16
+def _apply_diagonal_kraus(rho: np.ndarray, ops, qubits) -> None:
+    """Apply ``sum_k op_k rho op_k^dagger`` in place on each of ``qubits``.
 
-
-def _apply_single_qubit(rho: np.ndarray, ops, qubit: int, out=None, work=None,
-                        spare=None) -> np.ndarray:
-    """Apply ``sum_k op_k rho op_k^dagger`` acting on one qubit.
-
-    Qubit 0 is the most significant bit of the row and column index.  Each op
-    multiplies the rows of ``rho`` viewed as ``(left, 2, right * dim)``, then
-    multiplies that product from the right by ``op^dagger`` on the columns:
-    matmuls over contiguous reshapes, with no transposed copy.  ``out``
-    receives the result, ``work`` the row products and ``spare`` the terms
-    after the first; each is a full-size buffer, allocated when not given.
-    ``spare`` may be ``rho`` itself, because ``rho`` is not read again once
-    the last op's row product is done.
+    Qubit 0 is the most significant bit of the row and column index, and
+    ``rho`` must be C-ordered so that its reshapes are views.  Every op must
+    be diagonal: such a map multiplies ``rho_ab`` by ``F[a, b] = sum_k
+    op_k[a, a] conj(op_k[b, b])``, with ``a`` and ``b`` the qubit's row and
+    column bits, so each qubit's pass is one element-wise multiply.
     """
+    ops = np.asarray(ops, dtype=complex)
+    if np.any(ops[:, 0, 1]) or np.any(ops[:, 1, 0]):
+        raise ValueError("Kraus operators must be diagonal")
+    d = np.diagonal(ops, axis1=1, axis2=2)
+    factor = np.einsum("ka,kb->ab", d, d.conj()).reshape(2, 1, 1, 2, 1)
     dim = rho.shape[0]
-    left = 2**qubit
-    right = dim // (2 * left)
-    out = np.empty_like(rho) if out is None else out
-    work = np.empty_like(rho) if work is None else work
-    rows = rho.reshape(left, 2, right * dim)
-    for k, op in enumerate(ops):
-        np.matmul(op, rows, out=work.reshape(rows.shape))
-        if k == 0:
-            term = out
-        elif k == len(ops) - 1 and spare is not None:
-            term = spare
-        else:
-            term = np.empty_like(rho)
-        if right <= _KRON_MAX_RIGHT:
-            shape = (dim * left, 2 * right)
-            np.matmul(work.reshape(shape), np.kron(op.conj(), np.eye(right)).T,
-                      out=term.reshape(shape))
-        else:
-            shape = (dim * left, 2, right)
-            np.matmul(op.conj(), work.reshape(shape), out=term.reshape(shape))
-        if k:
-            out += term
-    return out
+    for q in qubits:
+        left = 2**q
+        right = dim // (2 * left)
+        view = rho.reshape(left, 2, right, left, 2, right)
+        view *= factor
 
 
 def evolve_oracle(dm: DensityMatrix, model: DecayModel, omega: float,
@@ -243,9 +220,10 @@ def evolve_oracle(dm: DensityMatrix, model: DecayModel, omega: float,
     exp(+i omega t / 2))`` and then passes through the dephasing channel with
     Kraus operators ``K0 = sqrt((1 + f)/2) I`` and ``K1 = sqrt((1 - f)/2) Z``
     where ``f = exp(-gamma(t))``.  Both maps act on one qubit at a time, so
-    each qubit takes one pass with the Kraus set ``{K0 P, K1 P}``.
-    Deliberately element-wise and independent of the closed-form fringe
-    expressions.
+    each qubit takes one pass with the Kraus set ``{K0 P, K1 P}``.  Every op
+    of that set is diagonal, so the pass multiplies one copy of the state in
+    place by the 2x2 factor the set defines.  Deliberately built from the
+    Kraus operators and independent of the closed-form fringe expressions.
     """
     omega = float(omega)
     if not math.isfinite(omega):
@@ -255,14 +233,8 @@ def evolve_oracle(dm: DensityMatrix, model: DecayModel, omega: float,
     phase = np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]])
     k0 = math.sqrt((1.0 + f) / 2.0) * np.eye(2)
     k1 = math.sqrt((1.0 - f) / 2.0) * np.array([[1.0, 0.0], [0.0, -1.0]])
-    kraus = (k0 @ phase, k1 @ phase)
-    rho = dm.matrix
-    # Three buffers serve every pass: the result of one pass is the input of
-    # the next, and the input of one pass takes the terms of the next.
-    work, out, spare = (np.empty_like(rho) for _ in range(3))
-    for q in range(dm.n_qubits):
-        _apply_single_qubit(rho, kraus, q, out=out, work=work, spare=spare)
-        rho, out, spare = out, spare, out
+    rho = dm.matrix.copy(order="C")
+    _apply_diagonal_kraus(rho, (k0 @ phase, k1 @ phase), range(dm.n_qubits))
     return DensityMatrix(rho, _owned=True)
 
 

@@ -113,3 +113,19 @@ def test_bootstrap_agrees_with_delta_method(n):
     _, _, boot, delta = case(n, SHOTS[-1])
     ratio = float(np.mean(boot) / np.mean(delta))
     assert abs(ratio - 1.0) <= 0.05, ratio
+
+
+def test_pooled_bootstrap_variance_matches_scatter():
+    # Summed over the cases, sum (K - 1) s^2 / sigma^2 follows chi-square
+    # with len(CASES) (K - 1) degrees of freedom.  The pooled interval is
+    # narrow enough to catch a 1.25x miscalibration; each case's catches 1.6x.
+    dof = len(CASES) * (FRINGES - 1)
+    statistic = 0.0
+    for n, shots in CASES:
+        _, d2, boot, _ = case(n, shots)
+        statistic += (FRINGES - 1) * float(np.var(d2, ddof=1) / np.mean(boot))
+    ratio = dof / statistic
+    tail = (1.0 - LEVEL) / 2.0
+    low = dof / chi2.ppf(1.0 - tail, dof)
+    high = dof / chi2.ppf(tail, dof)
+    assert low <= ratio <= high, (ratio, low, high)

@@ -19,9 +19,11 @@ from zenometry import (
     evolve_oracle,
     fidelity_bound,
     ghz_density_matrix,
+    optimal_time_for_probe,
     parity_expectation_analytic,
     parity_expectation_dm,
     sample_fringe,
+    sensitivity_closed_form,
     synthetic_fringe,
     witness_expectation,
     witness_from_settings,
@@ -36,13 +38,27 @@ def random_state(rng, n):
     return DensityMatrix(rho / np.trace(rho))
 
 
-def random_op(rng):
-    return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def random_diagonal_op(rng):
+    return np.diag(rng.normal(size=2) + 1j * rng.normal(size=2))
 
 
 def embed(op, qubit, n):
     """``I (x) .. (x) op (x) .. (x) I`` with ``op`` on ``qubit`` (0 leftmost)."""
     return np.kron(np.kron(np.eye(2**qubit), op), np.eye(2 ** (n - qubit - 1)))
+
+
+def quantum_fisher(state, model, omega, t, h=1e-5):
+    """QFI in omega of the oracle's output, from ``eigh`` and a central
+    difference: ``sum 2 |<i| d rho |j>|**2 / (l_i + l_j)`` over pairs whose
+    eigenvalues sum above 1e-12."""
+    rho = evolve_oracle(state, model, omega, t).matrix
+    drho = (evolve_oracle(state, model, omega + h, t).matrix
+            - evolve_oracle(state, model, omega - h, t).matrix) / (2.0 * h)
+    lam, vec = np.linalg.eigh(rho)
+    d = vec.conj().T @ drho @ vec
+    total = lam[:, None] + lam[None, :]
+    keep = total > 1e-12
+    return float(np.sum(2.0 * np.abs(d[keep]) ** 2 / total[keep]))
 
 
 def reference_apply(rho, ops, qubit):
@@ -215,23 +231,39 @@ class TestOracle:
                 assert np.max(np.abs(out.matrix - out.matrix.conj().T)) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 6])
-    def test_single_qubit_map_matches_explicit_kron(self, n):
-        # The oracle's own ops are diagonal, so this is what pins the qubit
-        # order and the row/column roles.  N = 6 reaches column blocks wider
-        # than the kron threshold as well as narrower ones.
+    def test_diagonal_pass_matches_explicit_kron(self, n):
+        # The pass multiplies by a factor on one qubit's bits, so this is what
+        # pins the qubit order and the row/column roles.
         rng = np.random.default_rng(21)
         rho = random_state(rng, n).matrix
         for q in range(n):
-            ops = [random_op(rng) for _ in range(3)]
+            ops = [random_diagonal_op(rng) for _ in range(3)]
             bigs = [embed(op, q, n) for op in ops]
             terms = [big @ rho @ big.conj().T for big in bigs]
             for k in (1, 2, 3):
-                got = probes._apply_single_qubit(rho, ops[:k], q)
+                got = rho.copy()
+                probes._apply_diagonal_kraus(got, ops[:k], (q,))
                 np.testing.assert_allclose(got, sum(terms[:k]), rtol=0,
                                            atol=1e-13)
-            owned = rho.copy()  # only the last term may overwrite the input
-            got = probes._apply_single_qubit(owned, ops, q, spare=owned)
-            np.testing.assert_allclose(got, sum(terms), rtol=0, atol=1e-13)
+
+    def test_non_diagonal_kraus_op_rejected(self):
+        rho = np.eye(4, dtype=complex) / 4
+        op = np.diag([1.0, -1.0]).astype(complex)
+        for entry in ((0, 1), (1, 0)):
+            bad = op.copy()
+            bad[entry] = 1e-300
+            with pytest.raises(ValueError, match="diagonal"):
+                probes._apply_diagonal_kraus(rho, (np.eye(2), bad), (0,))
+        assert np.array_equal(rho, np.eye(4) / 4)
+
+    def test_input_left_unchanged_and_read_only(self):
+        state = random_state(np.random.default_rng(4), 4)
+        before = state.matrix.copy()
+        out = evolve_oracle(state, Quadratic(1.0), 0.9, 0.4)
+        assert np.array_equal(state.matrix, before)
+        assert not state.matrix.flags.writeable
+        assert not out.matrix.flags.writeable
+        assert not np.shares_memory(out.matrix, state.matrix)
 
     @pytest.mark.parametrize("model", [
         Markovian(0.7), Quadratic(1.3),
@@ -252,6 +284,46 @@ class TestOracle:
         state = random_state(rng, 2)
         out = evolve_oracle(state, Quadratic(1.0), omega=2.0, t=0.0)
         assert np.allclose(out.matrix, state.matrix, atol=1e-13)
+
+
+class TestQuantumFisher:
+    """``t / F_Q`` against the parity read-out's closed-form ``d2omega_t``."""
+
+    MODEL = Quadratic(1.0)
+    OMEGA = 0.3
+
+    def ratio(self, state, spec):
+        t = optimal_time_for_probe(spec, self.MODEL)
+        f_q = quantum_fisher(state, self.MODEL, self.OMEGA, t)
+        return t / f_q / sensitivity_closed_form(spec, self.MODEL, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_parity_reaches_qfi_for_pure_ghz(self, n):
+        state = ghz_density_matrix(WhiteNoiseGhzParams(n, 1.0))
+        assert self.ratio(state, ProbeSpec("ghz", n)) == pytest.approx(
+            1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_parity_reaches_qfi_for_product(self, n):
+        plus = np.full((2, 2), 0.5)
+        m = plus
+        for _ in range(n - 1):
+            m = np.kron(m, plus)
+        state = DensityMatrix(m)
+        assert self.ratio(state, ProbeSpec("product", n)) == pytest.approx(
+            1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n, expected", [(2, 0.950), (4, 0.834),
+                                             (6, 0.737)])
+    def test_white_noise_parity_falls_short_of_qfi(self, n, expected):
+        # With preparation noise the parity Fisher is a fraction
+        # V + 2**(1 - N) (1 - V) of the QFI: twice the weight of the GHZ
+        # pair {|0..0>, |1..1>}, the only block that carries the phase.
+        params = WhiteNoiseGhzParams(n, 0.9)
+        v = params.parity_visibility
+        ratio = self.ratio(ghz_density_matrix(params), ProbeSpec("ghz", n, v))
+        assert ratio == pytest.approx(v + 2.0 ** (1 - n) * (1.0 - v), rel=1e-9)
+        assert ratio == pytest.approx(expected, abs=5e-4)
 
 
 class TestAnalyticFringe:
@@ -415,7 +487,7 @@ class TestDenseMemory:
             tracemalloc.stop()
         assert peak <= 1.2 * self.STATE_BYTES
 
-    def test_oracle_adds_three_states_over_its_input(self):
+    def test_oracle_adds_one_state_over_its_input(self):
         state = ghz_density_matrix(WhiteNoiseGhzParams(self.N, 0.9))
         tracemalloc.start()
         try:
@@ -423,4 +495,4 @@ class TestDenseMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.2 * self.STATE_BYTES
+        assert peak <= 1.25 * self.STATE_BYTES
