@@ -170,6 +170,11 @@ def noise_sweep(fusion_visibility: float, n_values,
     qubit number that still beats the SQL (None when the advantage never
     appears, or never disappears as for v = 1).  Underflow of ``v**N``
     reports an infinite variance rather than an error.
+
+    ``n_values`` may also be the ``ReferenceBounds`` that
+    ``reference_bounds(ns, gamma_coefficient)`` returned: its N tuple and SQL
+    column are then taken as they are, so a sweep over several visibilities
+    computes only the GHZ column for each.
     """
     v = float(fusion_visibility)
     if not 0.0 < v <= 1.0:
@@ -177,11 +182,17 @@ def noise_sweep(fusion_visibility: float, n_values,
     c = float(gamma_coefficient)
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError("decay coefficient must be positive")
-    ns = tuple(int(n) for n in n_values)
-    if not ns or any(n < 1 for n in ns):
-        raise ValueError("need qubit counts >= 1")
     anchor = 2.0 * math.sqrt(math.e * c)
-    sql = tuple(anchor / n for n in ns)
+    if isinstance(n_values, ReferenceBounds):
+        ns, sql = n_values.n_values, n_values.sql
+        if not ns or len(sql) != len(ns) or sql[0] != anchor / ns[0]:
+            raise ValueError("bounds must be reference_bounds(n_values, "
+                             "gamma_coefficient)")
+    else:
+        ns = tuple(int(n) for n in n_values)
+        if not ns or any(n < 1 for n in ns):
+            raise ValueError("need qubit counts >= 1")
+        sql = tuple(anchor / n for n in ns)
     d2 = tuple(anchor / denominator if denominator > 0.0 else math.inf
                for denominator in (n**1.5 * v**n for n in ns))
     return NoiseSweepResult(

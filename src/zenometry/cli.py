@@ -245,10 +245,10 @@ def _run_noise_sweep(cfg: ExperimentConfig, out: Path) -> dict:
         raise ConfigError("[noise-sweep] model_kind: sweep bounds assume the "
                           "quadratic family")
     comments = _comments(cfg, "noise-sweep")
-    ns = range(1, cfg.n_max + 1)
     # N and its SQL and HL bounds do not depend on the visibility, so every
-    # visibility shares their text; each distinct cell is formatted once
-    bounds = reference_bounds(ns, cfg.model_coefficient)
+    # visibility shares them and their text: noise_sweep computes only the
+    # GHZ column, and each distinct cell is formatted once
+    bounds = reference_bounds(range(1, cfg.n_max + 1), cfg.model_coefficient)
     n_text, sql_text, hl_text = (tuple(format_column(column)) for column in
                                  (bounds.n_values, bounds.sql, bounds.hl))
     crossings = {}
@@ -257,7 +257,7 @@ def _run_noise_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     # so fills crossings, before the summary is returned
     def rows():
         for v in cfg.fusion_visibilities:
-            sweep = noise_sweep(v, ns, cfg.model_coefficient)
+            sweep = noise_sweep(v, bounds, cfg.model_coefficient)
             crossings[repr(v)] = sweep.crossing
             (v_text,) = format_column((v,))
             yield from zip(repeat(v_text), n_text,

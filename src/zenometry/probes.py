@@ -15,6 +15,7 @@ with the analytic expressions and exists to cross-check them.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -41,8 +42,10 @@ __all__ = [
 ]
 
 # Dense states are exact but exponential in N: 4096x4096, 256 MiB, at the cap.
-# There evolve_oracle holds two states, its input and the evolved copy, and the
-# witness route one; README gives the measured time and memory budget.
+# ghz_density_matrix builds its state on demand-zero pages of a POSIX private
+# anonymous mapping, so only the pages under the diagonal (16 MiB at the cap)
+# become resident; evolve_oracle's evolved copy is fully resident.  README
+# gives the measured time and memory budget.
 ORACLE_MAX_QUBITS = 12
 
 
@@ -173,6 +176,12 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
 
     The mixing weight is the parity visibility ``V = v**(N/2)``, so the
     parity fringe of the returned state has amplitude exactly ``V``.
+
+    The state lives on demand-zero pages of a POSIX private anonymous
+    mapping, advised against transparent huge pages: only the pages that hold
+    the diagonal become resident (16 MiB of the 256 MiB matrix at N = 12),
+    and the validation reads every other entry from the kernel's shared zero
+    page.
     """
     n = params.n_qubits
     if n > ORACLE_MAX_QUBITS:
@@ -181,7 +190,15 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
         )
     dim = 2**n
     v = params.parity_visibility
-    rho = np.zeros((dim, dim), dtype=complex)
+    # MAP_PRIVATE, not mmap's default MAP_SHARED: a shared anonymous mapping
+    # is shmem, whose read faults allocate pages.  A transparent huge page
+    # would make each diagonal write fault in and zero 2 MiB; mmap defines
+    # the advice against them only where the system has it (Linux).
+    buf = mmap.mmap(-1, 16 * dim * dim,
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    rho = np.frombuffer(buf, dtype=complex).reshape(dim, dim)
     np.fill_diagonal(rho, (1.0 - v) / dim)
     rho[0, 0] += 0.5 * v
     rho[-1, -1] += 0.5 * v

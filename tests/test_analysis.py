@@ -12,6 +12,7 @@ from zenometry import (
     Markovian,
     NoiseSweepRow,
     Quadratic,
+    ReferenceBounds,
     advantage_crossing,
     noise_sweep,
     reference_bounds,
@@ -150,6 +151,25 @@ class TestNoiseSweep:
             zl = reference_bounds(ns, 1.0).zl
             assert all(d2 == z for d2, z in zip(sweep.d2omega_t_ghz, zl,
                                                 strict=True))
+
+    @pytest.mark.parametrize("v, c", [(0.1, 1.0), (0.9, 0.7), (1.0, 1.0)])
+    def test_reference_bounds_give_the_same_sweep(self, v, c):
+        ns = range(1, 401)
+        bounds = reference_bounds(ns, c)
+        sweep = noise_sweep(v, bounds, c)
+        assert sweep == noise_sweep(v, ns, c)
+        # the shared columns are reused, not rebuilt
+        assert sweep.n_values is bounds.n_values
+        assert sweep.bound_sql is bounds.sql
+
+    def test_mismatched_reference_bounds_rejected(self):
+        bounds = reference_bounds(range(1, 10), 0.7)
+        ragged = ReferenceBounds(bounds.n_values, bounds.sql[:1], bounds.zl,
+                                 bounds.hl)
+        empty = ReferenceBounds((), (), (), ())
+        for wrong, c in ((bounds, 1.0), (ragged, 0.7), (empty, 0.7)):
+            with pytest.raises(ValueError, match="must be reference_bounds"):
+                noise_sweep(0.9, wrong, c)
 
     def test_ideal_visibility_reproduces_zeno_bound(self):
         ns = list(range(1, 51))

@@ -1,12 +1,18 @@
 """Probe states, the dense evolution oracle, sampling, and the witness."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import zenometry
 from zenometry import probes
 from zenometry import (
     CapacityError,
@@ -29,6 +35,20 @@ from zenometry import (
     witness_from_settings,
 )
 from zenometry.rng import FRINGE_SETTINGS, substream
+
+
+def zeros_ghz_matrix(n, fusion_visibility):
+    """The white-noise GHZ matrix built on ``np.zeros``, step by step as
+    ``ghz_density_matrix`` builds it on its mapping."""
+    dim = 2**n
+    v = WhiteNoiseGhzParams(n, fusion_visibility).parity_visibility
+    rho = np.zeros((dim, dim), dtype=complex)
+    np.fill_diagonal(rho, (1.0 - v) / dim)
+    rho[0, 0] += 0.5 * v
+    rho[-1, -1] += 0.5 * v
+    rho[0, -1] += 0.5 * v
+    rho[-1, 0] += 0.5 * v
+    return rho
 
 
 def random_state(rng, n):
@@ -496,3 +516,48 @@ class TestDenseMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * self.STATE_BYTES
+
+    # Since the state lives in an mmap buffer, which tracemalloc does not
+    # see, the tracemalloc test above no longer bounds the state's memory.
+    # This one reads the kernel's high-water mark of resident memory in a
+    # fresh interpreter, whose VmHWM starts at its own start-up.
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="needs /proc/self/status")
+    def test_witness_route_at_the_cap_keeps_the_state_off_most_pages(self):
+        script = textwrap.dedent(f"""
+            import zenometry as zm
+
+            def vm_hwm_kib():
+                with open("/proc/self/status") as status:
+                    for line in status:
+                        if line.startswith("VmHWM:"):
+                            return int(line.split()[1])
+
+            before = vm_hwm_kib()
+            zm.witness_expectation(zm.ghz_density_matrix(
+                zm.WhiteNoiseGhzParams({probes.ORACLE_MAX_QUBITS}, 0.9)))
+            print(vm_hwm_kib() - before)
+        """)
+        src = str(Path(zenometry.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # the diagonal's pages take 16 MiB of the 256 MiB state
+        assert int(proc.stdout) <= 48 * 1024
+
+    @pytest.mark.parametrize("v", [1.0, 0.95, 0.3, 0.0])
+    def test_mapped_state_equals_zeros_construction(self, v):
+        for n in range(1, 11):
+            state = ghz_density_matrix(WhiteNoiseGhzParams(n, v))
+            reference = zeros_ghz_matrix(n, v)
+            m = state.matrix
+            assert m.dtype == reference.dtype
+            assert m.shape == reference.shape
+            assert m.flags.c_contiguous
+            assert not m.flags.writeable
+            assert m.tobytes() == reference.tobytes()
+            evolved = evolve_oracle(state, Quadratic(1.0), 0.7, 0.2)
+            expected = evolve_oracle(DensityMatrix(reference), Quadratic(1.0),
+                                     0.7, 0.2)
+            assert evolved.matrix.tobytes() == expected.matrix.tobytes()
