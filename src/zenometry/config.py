@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -120,32 +121,25 @@ def _is_none(raw: str) -> bool:
     return raw.strip().lower() in ("", "none")
 
 
-_PARSERS = {
-    "strategy": lambda s, k, v: v.strip(),
-    "n_values": _parse_int_list,
-    "model_kind": lambda s, k, v: v.strip(),
-    "model_coefficient": _parse_float,
-    "model_csv": lambda s, k, v: v.strip(),
-    "markovian_rate": _parse_float,
-    "interrogation_time": lambda s, k, v: v.strip(),
-    "shots_per_setting": _parse_int,
-    "theta_points": _parse_int,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "visibilities": _parse_float_list,
-    "fusion_visibility": _parse_float,
-    "fusion_visibilities": _parse_float_list,
-    "n_max": _parse_int,
-    "witness_value": _parse_float,
-    "x_expectation": _parse_float,
-    "p_all_zero": _parse_float,
-    "p_all_one": _parse_float,
-    "waist_mm": _parse_float,
-    "table_csv": lambda s, k, v: v.strip(),
-    "mode": lambda s, k, v: v.strip(),
-    "out_dir": lambda s, k, v: v.strip(),
+_TYPE_PARSERS = {
+    str: lambda s, k, v: v.strip(),
+    int: _parse_int,
+    float: _parse_float,
+    tuple[int, ...]: _parse_int_list,
+    tuple[float, ...]: _parse_float_list,
 }
+_TYPE_PARSERS |= {hint | None: parser for hint, parser in _TYPE_PARSERS.items()}
 
+
+def _parser_for(name: str, hint):
+    try:
+        return _TYPE_PARSERS[hint]
+    except KeyError:
+        raise TypeError(f"ExperimentConfig.{name}: no parser for {hint}") from None
+
+
+_PARSERS = {name: _parser_for(name, hint)
+            for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 _OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
 
@@ -262,14 +256,11 @@ def validate_config(cfg: ExperimentConfig, section: str) -> None:
         fail("waist_mm", "must be finite and positive")
     if cfg.table_csv is not None and not Path(cfg.table_csv).is_file():
         fail("table_csv", f"file not found: {cfg.table_csv}")
-    for key in ("witness_value", "x_expectation"):
+    for key, lo, hi in (("witness_value", -1.0, 3.0), ("x_expectation", -1.0, 1.0),
+                        ("p_all_zero", 0.0, 1.0), ("p_all_one", 0.0, 1.0)):
         value = getattr(cfg, key)
-        if value is not None and not math.isfinite(value):
-            fail(key, "must be finite")
-    for key in ("p_all_zero", "p_all_one"):
-        value = getattr(cfg, key)
-        if value is not None and not 0.0 <= value <= 1.0:
-            fail(key, "must lie in [0, 1]")
+        if value is not None and not lo <= value <= hi:
+            fail(key, f"must lie in [{lo:g}, {hi:g}]")
 
     if section in _SAMPLING_COMMANDS and cfg.mode == "montecarlo" and cfg.seed is None:
         fail("seed", "required when mode is montecarlo")
@@ -279,6 +270,8 @@ def validate_config(cfg: ExperimentConfig, section: str) -> None:
         if any(v is not None for v in settings) and not has_settings:
             fail("x_expectation",
                  "x_expectation, p_all_zero, and p_all_one go together")
+        if has_settings and cfg.p_all_zero + cfg.p_all_one > 1.0 + 1e-12:
+            fail("p_all_one", "p_all_zero and p_all_one cannot exceed 1 in total")
         if cfg.witness_value is None and not has_settings and cfg.fusion_visibility is None:
             fail("witness_value",
                  "give witness_value, the three setting values, or fusion_visibility")

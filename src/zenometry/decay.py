@@ -28,7 +28,12 @@ def _check_time(t: float) -> float:
 
 
 class DecayModel:
-    """Decay exponent ``gamma(t)`` together with its instantaneous rate."""
+    """Decay exponent ``gamma(t)``, its instantaneous rate, and its optimum.
+
+    ``optimal_time(n)`` maximises ``t exp(-2 n gamma(t))`` in closed form:
+    ``1 / (2 n rate)``, ``sqrt(1 / (4 n c))``, or for a table the best of the
+    per-segment roots ``1 / (2 n slope)``, each clipped to its segment.
+    """
 
     def gamma_at(self, t: float) -> float:
         """Decay exponent at time ``t >= 0``."""
@@ -36,6 +41,10 @@ class DecayModel:
 
     def dgamma_dt(self, t: float) -> float:
         """Instantaneous dephasing rate ``d(gamma)/dt``."""
+        raise NotImplementedError
+
+    def optimal_time(self, n: int) -> float:
+        """Time minimising ``2 n gamma(t) - ln t`` for fringe frequency ``n``."""
         raise NotImplementedError
 
     def coherence_factor(self, t: float) -> float:
@@ -60,6 +69,11 @@ class Markovian(DecayModel):
         _check_time(t)
         return self.rate
 
+    def optimal_time(self, n: int) -> float:
+        if self.rate <= 0.0:
+            raise ValueError("a zero-rate channel has no finite optimum")
+        return 1.0 / (2.0 * n * self.rate)
+
 
 @dataclass(frozen=True)
 class Quadratic(DecayModel):
@@ -77,6 +91,11 @@ class Quadratic(DecayModel):
 
     def dgamma_dt(self, t: float) -> float:
         return 2.0 * self.coefficient * _check_time(t)
+
+    def optimal_time(self, n: int) -> float:
+        if self.coefficient <= 0.0:
+            raise ValueError("a zero-coefficient channel has no finite optimum")
+        return math.sqrt(1.0 / (4.0 * n * self.coefficient))
 
 
 class Tabulated(DecayModel):
@@ -105,10 +124,12 @@ class Tabulated(DecayModel):
             raise ValueError("sample times must be strictly increasing")
         if np.any(np.diff(gammas) < 0.0):
             raise ValueError("gamma samples must be non-decreasing")
-        times.setflags(write=False)
-        gammas.setflags(write=False)
+        slopes = np.diff(gammas) / np.diff(times)
+        for array in (times, gammas, slopes):
+            array.setflags(write=False)
         self._times = times
         self._gammas = gammas
+        self._slopes = slopes
 
     @property
     def samples(self) -> tuple[tuple[float, float], ...]:
@@ -132,13 +153,28 @@ class Tabulated(DecayModel):
             raise ValueError(
                 "rate is defined strictly inside the sampled range"
             )
-        slopes = np.diff(self._gammas) / np.diff(self._times)
         hits = np.nonzero(self._times == t)[0]
         if hits.size:
             k = int(hits[0])
-            return float(0.5 * (slopes[k - 1] + slopes[k]))
+            return float(0.5 * (self._slopes[k - 1] + self._slopes[k]))
         seg = int(np.searchsorted(self._times, t)) - 1
-        return float(slopes[seg])
+        return float(self._slopes[seg])
+
+    def optimal_time(self, n: int) -> float:
+        """``2 n gamma(t) - ln t`` is convex on each segment, so the clipped
+        root (the right end at zero slope) is the segment's minimum; the
+        lowest of these wins, the earliest on a tie."""
+        # One-sided limit at the right edge uses the last segment's slope.
+        if 2.0 * n * self.t_max * self._slopes[-1] - 1.0 < 0.0:
+            raise ValueError(
+                "optimal time not bracketed by the sampled range; extend the table"
+            )
+        with np.errstate(divide="ignore"):
+            roots = 1.0 / (2.0 * n * self._slopes)
+            candidates = np.clip(roots, self._times[:-1], self._times[1:])
+            cost = (2.0 * n * np.interp(candidates, self._times, self._gammas)
+                    - np.log(candidates))
+        return float(candidates[np.argmin(cost)])
 
     def __repr__(self) -> str:
         return f"Tabulated({list(self.samples)!r})"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decay import DecayModel, Markovian, Quadratic, Tabulated
+from .decay import DecayModel
 from .fringes import FringeDataset, estimates_from_counts
 from .probes import ProbeSpec
 from .rng import MONTE_CARLO_TRIALS, StreamFamily
@@ -47,7 +47,6 @@ __all__ = [
     "noise_subtract",
 ]
 
-_TIME_TOLERANCE = 1e-12
 _DEGENERATE_SLOPE = 1e-9
 
 
@@ -69,47 +68,17 @@ def working_point(fringe_frequency: int) -> float:
 
 
 def optimal_time(model: DecayModel, n: int) -> float:
-    """Interrogation time solving ``2 N t dgamma/dt = 1``.
+    """Interrogation time maximising ``t exp(-2 N gamma(t))``.
 
-    Closed forms: ``1 / (2 N rate)`` for the linear family and
-    ``sqrt(1 / (4 N c))`` for the quadratic one.  Tabulated models are solved
-    by bisection on the sampled range to an interval of 1e-12; if the rate
-    never grows large enough the root is not bracketed and that is an error.
+    The model solves it in closed form: ``1 / (2 N rate)`` (linear),
+    ``sqrt(1 / (4 N c))`` (quadratic), or for a table the best per-segment
+    root ``1 / (2 N slope)`` clipped to its segment; a table that ends
+    before ``2 N t dgamma/dt`` reaches 1 is an error.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(model, Markovian):
-        if model.rate <= 0.0:
-            raise ValueError("a zero-rate channel has no finite optimum")
-        return 1.0 / (2.0 * n * model.rate)
-    if isinstance(model, Quadratic):
-        if model.coefficient <= 0.0:
-            raise ValueError("a zero-coefficient channel has no finite optimum")
-        return math.sqrt(1.0 / (4.0 * n * model.coefficient))
-    if isinstance(model, Tabulated):
-        return _optimal_time_tabulated(model, n)
-    raise TypeError(f"unsupported decay model {type(model).__name__}")
-
-
-def _optimal_time_tabulated(model: Tabulated, n: int) -> float:
-    samples = model.samples
-    t_hi = model.t_max
-    # One-sided limit at the right edge uses the last segment's slope.
-    (t0, g0), (t1, g1) = samples[-2], samples[-1]
-    edge_rate = (g1 - g0) / (t1 - t0)
-    if 2.0 * n * t_hi * edge_rate - 1.0 < 0.0:
-        raise ValueError(
-            "optimal time not bracketed by the sampled range; extend the table"
-        )
-    lo, hi = 0.0, t_hi  # g(0) = -1 analytically, g(t_hi) >= 0 from the edge
-    while hi - lo > _TIME_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if 2.0 * n * mid * model.dgamma_dt(mid) - 1.0 < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return model.optimal_time(n)
 
 
 def optimal_time_for_probe(spec: ProbeSpec, model: DecayModel) -> float:

@@ -368,6 +368,20 @@ class TestWitness:
         rc, _ = run(tmp_path, "witness", "[witness]\nseed = 1\n")
         assert rc == 2
 
+    @pytest.mark.parametrize("text, field", [
+        ("witness_value = 5\n", "witness_value"),
+        ("x_expectation = 2\np_all_zero = 0.45\np_all_one = 0.44\n",
+         "x_expectation"),
+        ("x_expectation = 0.8\np_all_zero = 0.7\np_all_one = 0.6\n",
+         "p_all_one"),
+    ], ids=["witness_value", "x_expectation", "population_sum"])
+    def test_out_of_range_value_names_the_field(self, tmp_path, capsys,
+                                                text, field):
+        rc, summary = run(tmp_path, "witness", "[witness]\n" + text)
+        assert rc == 2
+        assert summary is None
+        assert f"[witness] {field}:" in capsys.readouterr().err
+
     def test_oracle_cap_rejected(self, tmp_path, capsys):
         rc, summary = run(
             tmp_path, "witness",

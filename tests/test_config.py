@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenometry.config as config
 from zenometry import (
     ConfigError,
     SUBCOMMANDS,
@@ -185,6 +186,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
             self.check("witness", x_expectation=0.8, p_all_zero=1.5,
                        p_all_one=0.4)
+
+
+def test_annotation_without_parser_is_rejected():
+    assert config._parser_for("seed", int | None) is config._parse_int
+    for hint in (bool, int | float, tuple[str, ...] | None):
+        with pytest.raises(TypeError, match="no parser"):
+            config._parser_for("flag", hint)
 
 
 # Values the INI format carries: stripped one-line words that do not read as

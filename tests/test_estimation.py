@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zenometry.estimation as estimation
@@ -172,14 +172,50 @@ class TestOptimalTime:
         assert optimal_time(Markovian(rate), 2) == pytest.approx(
             math.exp(0.5) / 4.0, abs=1e-12)
 
+    def test_closed_forms_are_exact(self):
+        for n in range(1, 13):
+            assert optimal_time(Markovian(0.6), n) == 1.0 / (2.0 * n * 0.6)
+            assert optimal_time(Quadratic(1.3), n) \
+                == math.sqrt(1.0 / (4.0 * n * 1.3))
+
     def test_tabulated_by_bisection(self):
         # constant unit slope: the condition 2 N t = 1 gives t = 1/(2N)
         tab = Tabulated([(0.0, 0.0), (2.0, 2.0)])
-        assert optimal_time(tab, 2) == pytest.approx(0.25, abs=1e-9)
+        assert optimal_time(tab, 2) == 0.25
         # piecewise table around a quadratic: root near the analytic optimum
         ts = np.linspace(0.0, 1.0, 2001)
         tab2 = Tabulated(list(zip(ts, ts**2)))
         assert optimal_time(tab2, 4) == pytest.approx(0.25, abs=1e-3)
+
+    def test_tabulated_takes_the_global_optimum(self):
+        # 2 N t dgamma/dt = 1 holds at t = 1/4 and, across the slope jump, at
+        # t = 1; d2omega_t is e at the first root and e**2 / 4 at the second.
+        tab = Tabulated([(0.0, 0.0), (0.5, 0.5), (1.0, 0.5), (2.0, 1.0)])
+        assert optimal_time(tab, 2) == 1.0
+        spec = ProbeSpec("ghz", 2, 1.0)
+        assert sensitivity_closed_form(spec, tab, 1.0) == pytest.approx(
+            math.exp(2.0) / 4.0, rel=1e-12)
+        assert sensitivity_closed_form(spec, tab, 0.25) == pytest.approx(
+            math.e, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.tuples(st.floats(0.01, 1.0),
+                                    st.just(0.0) | st.floats(0.0, 3.0)),
+                          min_size=1, max_size=6),
+           n=st.integers(1, 8))
+    def test_tabulated_optimum_beats_every_other_time(self, steps, n):
+        times = np.cumsum([0.0] + [dt for dt, _ in steps])
+        gammas = np.cumsum([0.0] + [dt * s for dt, s in steps])
+        tab = Tabulated(list(zip(times, gammas)))
+        slopes = np.diff(gammas) / np.diff(times)
+        assume(2.0 * n * times[-1] * slopes[-1] >= 1.0)
+        spec = ProbeSpec("ghz", n, 1.0)
+        best = sensitivity_closed_form(spec, tab, optimal_time(tab, n))
+        with np.errstate(divide="ignore"):
+            roots = np.clip(1.0 / (2.0 * n * slopes), times[:-1], times[1:])
+        grid = np.linspace(0.0, times[-1], 1001)[1:]
+        for t in np.concatenate([times[1:], roots, grid]):
+            assert best <= sensitivity_closed_form(spec, tab, t) * (1 + 1e-12)
 
     def test_tabulated_root_must_be_bracketed(self):
         lazy = Tabulated([(0.0, 0.0), (1.0, 1e-6)])
