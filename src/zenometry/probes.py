@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import sys
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -44,8 +45,9 @@ __all__ = [
 # Dense states are exact but exponential in N: 4096x4096, 256 MiB, at the cap.
 # ghz_density_matrix builds its state on demand-zero pages of a POSIX private
 # anonymous mapping, so only the pages under the diagonal (16 MiB at the cap)
-# become resident; evolve_oracle's evolved copy is fully resident.  README
-# gives the measured time and memory budget.
+# become resident; on Linux it maps the rest to the shared zero page in one
+# call before validation reads them.  evolve_oracle's evolved copy is fully
+# resident.  README gives the measured time and memory budget.
 ORACLE_MAX_QUBITS = 12
 
 
@@ -150,7 +152,7 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-# Entries per row block of the Hermiticity check: its temporaries stay near
+# Entries per row block of the Hermiticity check: its two buffers stay near
 # 1 MiB whatever the matrix size.
 _CHECK_BLOCK = 1 << 16
 
@@ -159,16 +161,35 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     """``max |m - m^dagger| <= tol``, checked one block of rows at a time.
 
     Block ``i:j`` compares rows ``i:j`` with columns ``i:j`` on and right of
-    the diagonal, which covers every pair once and never builds a full-size
-    temporary.  A NaN entry fails the check.
+    the diagonal, which covers every pair once.  The block's columns are
+    first gathered, conjugated, into a contiguous slab, and the differences
+    are taken in the slab's layout.  The slab and the moduli of the
+    differences live in two buffers allocated once per call and reused for
+    every block, so no temporary grows with the matrix.  A NaN entry fails
+    the check.  The side of ``m`` must be a power of two, so that the block
+    height divides it.
     """
     dim = m.shape[0]
-    rows = max(1, _CHECK_BLOCK // dim)
+    rows = min(dim, max(1, _CHECK_BLOCK // dim))
+    slab = np.empty((dim, rows), dtype=m.dtype)
+    dev = np.empty((dim, rows))
     for i in range(0, dim, rows):
-        j = i + rows
-        if not np.max(np.abs(m[i:j, i:] - m[i:, i:j].conj().T)) <= tol:
+        cols = np.conjugate(m[i:, i:i + rows], out=slab[i:])
+        np.subtract(m[i:i + rows, i:].T, cols, out=cols)
+        if not np.abs(cols, out=dev[i:]).max() <= tol:
             return False
     return True
+
+
+def _populate_read(buf: mmap.mmap) -> None:
+    """Map every page of ``buf`` for reading with one ``madvise`` call.
+
+    ``MADV_POPULATE_READ`` (Linux 5.14 and later) is 22 in
+    ``asm-generic/mman-common.h``; Python 3.11's ``mmap`` does not name it.
+    On a private anonymous mapping it maps each untouched page to the
+    kernel's shared zero page and allocates nothing.
+    """
+    buf.madvise(getattr(mmap, "MADV_POPULATE_READ", 22))
 
 
 def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
@@ -181,7 +202,10 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
     mapping, advised against transparent huge pages: only the pages that hold
     the diagonal become resident (16 MiB of the 256 MiB matrix at N = 12),
     and the validation reads every other entry from the kernel's shared zero
-    page.
+    page.  On Linux the mapping is populated from the zero page in one call
+    before validation, which then takes no page fault per page; where the
+    kernel refuses the advice, the validation faults the pages in itself and
+    the state is the same.
     """
     n = params.n_qubits
     if n > ORACLE_MAX_QUBITS:
@@ -204,6 +228,11 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
     rho[-1, -1] += 0.5 * v
     rho[0, -1] += 0.5 * v
     rho[-1, 0] += 0.5 * v
+    if sys.platform.startswith("linux"):
+        try:
+            _populate_read(buf)
+        except OSError:
+            pass  # EINVAL before Linux 5.14
     return DensityMatrix(rho, _owned=True)
 
 
@@ -364,7 +393,7 @@ def witness_expectation(dm: DensityMatrix) -> float:
     parity = parity_expectation_dm(dm)
     p0 = dm.matrix[0, 0].real
     p1 = dm.matrix[-1, -1].real
-    return 3.0 - (parity + 1.0) - 2.0 * (p0 + p1)
+    return float(3.0 - (parity + 1.0) - 2.0 * (p0 + p1))
 
 
 def witness_from_settings(x_expectation: float, p_all_zero: float,

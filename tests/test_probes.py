@@ -1,5 +1,6 @@
 """Probe states, the dense evolution oracle, sampling, and the witness."""
 
+import errno
 import math
 import os
 import subprocess
@@ -198,6 +199,72 @@ class TestDensityMatrix:
         m[-2, -2] -= 1e-9j
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(m)
+
+    # (row, col) of each planted entry as a function of the dimension.  For
+    # N = 9 and 10 the check runs in several row blocks; below that, in one.
+    SPOTS = {
+        "first block, above": lambda dim: (0, dim - 1),
+        "first block, below": lambda dim: (1, 0),
+        "last block, above": lambda dim: (dim - 2, dim - 1),
+        "last block, below": lambda dim: (dim - 1, 0),
+        "diagonal": lambda dim: (dim - 1, dim - 1),
+    }
+
+    @pytest.mark.parametrize("spot, delta, expected", [
+        ("first block, above", 1e-9, False),
+        ("first block, below", 1e-9j, False),
+        ("last block, above", -1e-9j, False),
+        ("last block, below", 1e-9, False),
+        ("diagonal", 1e-9j, False),
+        ("first block, above", math.nan, False),
+        ("last block, below", math.inf, False),
+        ("last block, above", complex(0.0, -math.inf), False),
+        ("diagonal", math.inf, False),
+        ("first block, above", 0.999e-12, True),
+        ("first block, above", 1.001e-12, False),
+        ("last block, below", 0.999e-12j, True),
+        ("last block, below", 1.001e-12j, False),
+        ("first block, above", 0.8e-12 + 0.8e-12j, False),  # modulus 1.13e-12
+        ("last block, below", 0.7e-12 - 0.7e-12j, True),    # modulus 0.99e-12
+    ])
+    def test_check_matches_naive_reference(self, spot, delta, expected):
+        rng = np.random.default_rng(14)
+        tol = 1e-12
+        for n in range(1, 11):
+            dim = 2**n
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = (a + a.conj().T) / (2.0 * dim)
+            assert probes._is_hermitian(m, tol)
+            m[self.SPOTS[spot](dim)] += delta
+            with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+                naive = bool(np.max(np.abs(m - m.conj().T)) <= tol)
+                assert naive is expected
+                assert probes._is_hermitian(m, tol) is expected, n
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the mapping is populated only on Linux")
+    @pytest.mark.parametrize("order", ["before", "after"])
+    def test_mapped_state_violation_far_from_diagonal_rejected(
+            self, monkeypatch, order):
+        n = 10
+        dim = 2**n
+        row, col = dim // 4, 3 * dim // 4
+        # 4 KiB pages, 16 B entries: the entry's page holds no diagonal entry
+        page = (row * dim + col) * 16 // 4096
+        assert page != (row * dim + row) * 16 // 4096
+        populate = probes._populate_read
+
+        def plant_and_populate(buf):
+            rho = np.frombuffer(buf, dtype=complex).reshape(dim, dim)
+            if order == "after":
+                populate(buf)
+            rho[row, col] = 1e-9
+            if order == "before":
+                populate(buf)
+
+        monkeypatch.setattr(probes, "_populate_read", plant_and_populate)
+        with pytest.raises(ValueError, match="Hermitian"):
+            ghz_density_matrix(WhiteNoiseGhzParams(n, 0.9))
 
     def test_fortran_ordered_input_evolves_alike(self):
         state = random_state(np.random.default_rng(8), 3)
@@ -472,6 +539,10 @@ class TestWitness:
                 assert witness_expectation(dm) == pytest.approx(
                     expected, abs=1e-12)
 
+    def test_value_is_a_python_float(self):
+        dm = ghz_density_matrix(WhiteNoiseGhzParams(4, 0.9))
+        assert type(witness_expectation(dm)) is float
+
     def test_single_qubit_unsupported(self):
         dm = ghz_density_matrix(WhiteNoiseGhzParams(1, 1.0))
         with pytest.raises(ValueError):
@@ -561,3 +632,17 @@ class TestDenseMemory:
             expected = evolve_oracle(DensityMatrix(reference), Quadratic(1.0),
                                      0.7, 0.2)
             assert evolved.matrix.tobytes() == expected.matrix.tobytes()
+
+    def test_refused_populate_gives_the_same_state(self, monkeypatch):
+        calls = []
+
+        def refuse(buf):
+            calls.append(len(buf))
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(probes, "_populate_read", refuse)
+        for n in range(1, 11):
+            state = ghz_density_matrix(WhiteNoiseGhzParams(n, 0.95))
+            assert state.matrix.tobytes() == zeros_ghz_matrix(n, 0.95).tobytes()
+        if sys.platform.startswith("linux"):
+            assert calls == [16 * 4**n for n in range(1, 11)]
