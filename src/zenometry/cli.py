@@ -111,7 +111,8 @@ def _interrogation_time(cfg: ExperimentConfig, spec: ProbeSpec,
 
 def _run_fringe(cfg: ExperimentConfig, out: Path) -> dict:
     model = _decay_model(cfg, "fringe")
-    comments = _comments(cfg, "fringe")
+    # The dataset writes its own derived '# seed=' row.
+    comments = [("config_sha256", config_hash(cfg, "fringe"))]
     per_n = {}
     for position, n in enumerate(cfg.n_values):
         spec = ProbeSpec(cfg.strategy, n, _visibility_for(cfg, position))

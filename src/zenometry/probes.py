@@ -106,9 +106,13 @@ class WhiteNoiseGhzParams:
 class DensityMatrix:
     """Validated dense N-qubit density matrix (read-only storage).
 
-    The constructor copies its input and checks shape, unit trace, and
-    Hermiticity to 1e-12.  Positivity is not verified here because it needs a
-    full eigendecomposition; call :meth:`min_eigenvalue` when that check
+    The constructor checks the input's shape and the qubit cap, and only
+    then copies it, so an input over the cap is refused before any copy.
+    It checks the copy for unit trace and Hermiticity to 1e-12; the
+    Hermiticity check compares in full only the row blocks with a set bit
+    off their diagonal square, and its answer is the full comparison's.
+    Positivity is not verified here because it needs a full
+    eigendecomposition; call :meth:`min_eigenvalue` when that check
     matters.  ``_owned=True`` is for arrays built inside this module that no
     caller holds: it skips the copy and takes the array as it is.
     """
@@ -117,14 +121,10 @@ class DensityMatrix:
     _owned: InitVar[bool] = False
 
     def __post_init__(self, _owned: bool) -> None:
-        if _owned:
-            m = self.matrix
-        else:
-            # C order: the dense path reshapes the matrix into views.
-            m = np.array(self.matrix, dtype=complex, order="C")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("density matrix must be square")
-        dim = m.shape[0]
+        dim = shape[0]
         n = dim.bit_length() - 1
         if dim < 2 or 2**n != dim:
             raise ValueError("dimension must be a power of two, at least 2")
@@ -133,6 +133,11 @@ class DensityMatrix:
                 f"{n} qubits exceeds the dense-matrix capacity of "
                 f"{ORACLE_MAX_QUBITS}"
             )
+        if _owned:
+            m = self.matrix
+        else:
+            # C order: the dense path reshapes the matrix into views.
+            m = np.array(self.matrix, dtype=complex, order="C")
         if not abs(np.trace(m) - 1.0) <= 1e-12:
             raise ValueError("trace must equal 1 within 1e-12")
         if not _is_hermitian(m, 1e-12):
@@ -157,6 +162,13 @@ class DensityMatrix:
 _CHECK_BLOCK = 1 << 16
 
 
+def _any_bit(a: np.ndarray) -> bool:
+    """Whether any entry of ``a`` has a set bit, counted on its ``uint64``
+    view in place.  ``count_nonzero`` reads a strided view without the
+    64 KiB buffer that a ``max`` reduction takes.  An empty ``a`` has none."""
+    return np.count_nonzero(a.view(np.uint64)) != 0
+
+
 def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     """``max |m - m^dagger| <= tol``, checked one block of rows at a time.
 
@@ -166,17 +178,30 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     are taken in the slab's layout.  The slab and the moduli of the
     differences live in two buffers allocated once per call and reused for
     every block, so no temporary grows with the matrix.  A NaN entry fails
-    the check.  The side of ``m`` must be a power of two, so that the block
-    height divides it.
+    the check.
+
+    Before that comparison, the two rectangles off the block's diagonal
+    square, ``m[i:j, j:]`` and ``m[j:, i:j]``, are tested for a set bit on
+    their ``uint64`` views: the contiguous one first, after a probe of the
+    first ``j - i`` entries of its first row, so that a dense block costs
+    a scan of those entries only.  When both are all-clear, every pair in
+    them differs by exactly 0, and only the square is compared.  Any set
+    bit (a value, ``-0.0``, NaN, +-inf) sends the whole block through the
+    comparison, so the result is exactly the one of the comparison over
+    all pairs.  The side of ``m`` must be a power of two, so that the block
+    height divides it, and its rows contiguous.
     """
     dim = m.shape[0]
     rows = min(dim, max(1, _CHECK_BLOCK // dim))
     slab = np.empty((dim, rows), dtype=m.dtype)
     dev = np.empty((dim, rows))
     for i in range(0, dim, rows):
-        cols = np.conjugate(m[i:, i:i + rows], out=slab[i:])
-        np.subtract(m[i:i + rows, i:].T, cols, out=cols)
-        if not np.abs(cols, out=dev[i:]).max() <= tol:
+        j = i + rows
+        end = dim if (_any_bit(m[i, j:j + rows]) or _any_bit(m[i:j, j:])
+                      or _any_bit(m[j:, i:j])) else j
+        cols = np.conjugate(m[i:end, i:j], out=slab[i:end])
+        np.subtract(m[i:j, i:end].T, cols, out=cols)
+        if not np.abs(cols, out=dev[i:end]).max() <= tol:
             return False
     return True
 
@@ -201,11 +226,13 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
     The state lives on demand-zero pages of a POSIX private anonymous
     mapping, advised against transparent huge pages: only the pages that hold
     the diagonal become resident (16 MiB of the 256 MiB matrix at N = 12),
-    and the validation reads every other entry from the kernel's shared zero
-    page.  On Linux the mapping is populated from the zero page in one call
-    before validation, which then takes no page fault per page; where the
-    kernel refuses the advice, the validation faults the pages in itself and
-    the state is the same.
+    and the validation's bit scan reads every other entry from the kernel's
+    shared zero page.  Off the diagonal and the two corners every entry is
+    zero, so only the first row block is compared in full.  On Linux the
+    mapping is populated from the zero page in one call before validation,
+    which then takes no page fault per page; where the kernel refuses the
+    advice, the validation faults the pages in itself and the state is the
+    same.
     """
     n = params.n_qubits
     if n > ORACLE_MAX_QUBITS:

@@ -76,8 +76,13 @@ def write_table(path, comments, header, rows) -> None:
     lazy ones included.  It is consumed in chunks of ``_CHUNK_ROWS`` rows;
     each chunk is formatted a column at a time by ``format_column`` and
     written to the open file, so no copy of the whole text is ever built.
-    Cells that are already ``str`` are written as they are.
+    Cells that are already ``str`` are written as they are.  A key given
+    by two ``(key, value)`` comments raises ValueError, since the reader
+    would keep only the last.
     """
+    keys = [c[0] for c in comments if not isinstance(c, str)]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"repeated comment key in {keys}")
     lines = [f"# {c}" if isinstance(c, str) else f"# {c[0]}={_format_cell(c[1])}"
              for c in comments]
     lines.append(",".join(header))

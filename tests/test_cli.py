@@ -91,6 +91,21 @@ class TestFringe:
         assert sum(int(r["n_total"]) for r in rows) > 0
         assert summary["seed"] == 5
 
+    def test_montecarlo_csv_has_one_seed_row(self, tmp_path):
+        text = ("[fringe]\nn_values = 2\nmode = montecarlo\nseed = 5\n"
+                "shots_per_setting = 2000\n")
+        rc, _ = run(tmp_path, "fringe", text)
+        assert rc == 0
+        path = tmp_path / "out" / "fringe_n2.csv"
+        comments, _, _ = read_csv(path)
+        keys = [c.partition("=")[0] for c in comments]
+        assert len(keys) == len(set(keys))
+        derived = zenometry.cli._derived_seed(5, "fringe", 2)
+        assert comments.count(f"seed={derived}") == 1
+        cfg = load_config(tmp_path / "exp.ini", "fringe")
+        assert comments[0] == f"config_sha256={config_hash(cfg, 'fringe')}"
+        assert zenometry.FringeDataset.from_csv(path).seed == derived
+
     def test_seed_flag_changes_samples(self, tmp_path):
         text = ("[fringe]\nn_values = 2\nmode = montecarlo\nseed = 5\n"
                 "shots_per_setting = 2000\n")

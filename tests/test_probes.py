@@ -59,6 +59,31 @@ def random_state(rng, n):
     return DensityMatrix(rho / np.trace(rho))
 
 
+def dense_hermitian(rng, n):
+    dim = 2**n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / (2.0 * dim)
+
+
+def x_shaped_hermitian(rng, n):
+    """A Hermitian matrix that is zero off its diagonal and its two corners,
+    as the white-noise GHZ state is, with entries of the dense one's scale."""
+    dim = 2**n
+    m = np.zeros((dim, dim), dtype=complex)
+    np.fill_diagonal(m, rng.normal(size=dim) / dim)
+    corner = complex(rng.normal(), rng.normal()) / (2.0 * dim)
+    m[0, -1] += corner
+    m[-1, 0] += corner.conjugate()
+    return m
+
+
+def assert_check_matches_naive(m, tol, expected, n):
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+        naive = bool(np.max(np.abs(m - m.conj().T)) <= tol)
+        assert naive is expected
+        assert probes._is_hermitian(m, tol) is expected, n
+
+
 def random_diagonal_op(rng):
     return np.diag(rng.normal(size=2) + 1j * rng.normal(size=2))
 
@@ -231,15 +256,36 @@ class TestDensityMatrix:
         rng = np.random.default_rng(14)
         tol = 1e-12
         for n in range(1, 11):
-            dim = 2**n
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            m = (a + a.conj().T) / (2.0 * dim)
-            assert probes._is_hermitian(m, tol)
-            m[self.SPOTS[spot](dim)] += delta
-            with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
-                naive = bool(np.max(np.abs(m - m.conj().T)) <= tol)
-                assert naive is expected
-                assert probes._is_hermitian(m, tol) is expected, n
+            for m in (dense_hermitian(rng, n), x_shaped_hermitian(rng, n)):
+                assert probes._is_hermitian(m, tol)
+                m[self.SPOTS[spot](m.shape[0])] += delta
+                assert_check_matches_naive(m, tol, expected, n)
+
+    # An entry planted alone in a row block whose rectangles off the
+    # diagonal square are otherwise zero: the check may skip only blocks
+    # whose rectangles have no set bit.  -0.0 has one, and its differences
+    # are exactly 0, so it passes either way.
+    @pytest.mark.parametrize("value, expected", [
+        (complex(-0.0, 0.0), True),
+        (complex(0.0, -0.0), True),
+        (-0.999e-12, True),
+        (-1e-9, False),
+        (-1e-9j, False),
+        (math.nan, False),
+        (complex(0.0, math.nan), False),
+        (-math.inf, False),
+    ])
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_entry_planted_in_a_zero_block(self, side, value, expected):
+        rng = np.random.default_rng(15)
+        for n in range(3, 11):  # from 9 on, the check runs in several blocks
+            m = x_shaped_hermitian(rng, n)
+            dim = m.shape[0]
+            # row dim/2 starts a block: plant in the block's second row
+            near, far = dim // 2 + 1, 3 * dim // 4
+            spot = (near, far) if side == "above" else (far, near)
+            m[spot] = value  # assigned: 0.0 + -0.0 would give 0.0
+            assert_check_matches_naive(m, 1e-12, expected, n)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the mapping is populated only on Linux")
@@ -265,6 +311,38 @@ class TestDensityMatrix:
         monkeypatch.setattr(probes, "_populate_read", plant_and_populate)
         with pytest.raises(ValueError, match="Hermitian"):
             ghz_density_matrix(WhiteNoiseGhzParams(n, 0.9))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the mapping is populated only on Linux")
+    def test_mapped_state_violation_below_diagonal_rejected(self, monkeypatch):
+        # Only the rectangle below its block's diagonal square holds the
+        # entry: a check that scanned the rectangle right of it alone would
+        # skip the block.
+        n = probes.ORACLE_MAX_QUBITS
+        dim = 2**n
+        row, col = 3 * dim // 4, dim // 4
+        populate = probes._populate_read
+
+        def populate_and_plant(buf):
+            populate(buf)
+            np.frombuffer(buf, dtype=complex).reshape(dim, dim)[row, col] = 1e-9
+
+        monkeypatch.setattr(probes, "_populate_read", populate_and_plant)
+        with pytest.raises(ValueError, match="Hermitian"):
+            ghz_density_matrix(WhiteNoiseGhzParams(n, 0.9))
+
+    def test_over_the_cap_refused_before_the_copy(self):
+        n = probes.ORACLE_MAX_QUBITS + 1
+        # demand-zero pages: 512 MiB of address space, none of it touched
+        big = np.zeros((2**n, 2**n))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                DensityMatrix(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_fortran_ordered_input_evolves_alike(self):
         state = random_state(np.random.default_rng(8), 3)

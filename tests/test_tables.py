@@ -174,6 +174,15 @@ def test_writer_matches_per_row_reference(tmp_path, count):
         assert type(second[2][column["bool_then_np"]]) is np.bool_
 
 
+def test_writer_rejects_a_repeated_comment_key(tmp_path):
+    path = tmp_path / "twice.csv"
+    with pytest.raises(ValueError, match="repeated comment key"):
+        write_table(path, [("seed", 42), "free text", ("seed", 7)], ("a",), [(1,)])
+    # free-text comments may repeat, and may look like a key
+    write_table(path, ["note", "note", "seed=1", ("seed", 2)], ("a",), [(1,)])
+    assert read_table(path, ("a",), (int,)) == ({"seed": "2"}, [(1,)])
+
+
 def test_writer_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError):
         write_table(tmp_path / "ragged.csv", [], ("a", "b"), [(1, 2), (3,)])
