@@ -33,9 +33,8 @@ from .channel import (
     overlap_numeric,
 )
 from .config import (
-    SUBCOMMANDS,
+    CONFIG_TYPES,
     ConfigError,
-    ExperimentConfig,
     config_hash,
     load_config,
     parse_config_text,
@@ -104,6 +103,6 @@ __all__ = [
     "scaling_fit", "reference_bounds", "relative_resolution", "noise_sweep",
     "advantage_crossing",
     # configuration
-    "ConfigError", "ExperimentConfig", "SUBCOMMANDS", "parse_config_text",
+    "ConfigError", "CONFIG_TYPES", "parse_config_text",
     "load_config", "serialize_config", "config_hash",
 ]

@@ -65,6 +65,8 @@ class GaussianMode:
     def __post_init__(self) -> None:
         if not math.isfinite(self.waist) or self.waist <= 0.0:
             raise ValueError("waist must be finite and positive")
+        if 2.0 * self.waist * self.waist == 0.0:
+            raise ValueError(f"waist {self.waist!r} is too small: its square underflows")
 
 
 class TabulatedMode:

@@ -1,10 +1,12 @@
 """Command-line front end producing reproducible CSV/JSON artifacts.
 
-Every subcommand reads one INI section (same name as the subcommand), applies
-flag overrides, and writes its tables plus a ``summary.json`` into the output
-directory.  All CSV files begin with ``# key=value`` comment rows carrying the
-configuration hash and, for sampled runs, the seed, so a rerun with the same
-inputs is byte-identical.
+Every subcommand reads one INI section (same name as the subcommand) into
+its config type, applies flag overrides, and writes its tables plus a
+``summary.json`` into the output directory.  A subcommand has a ``--seed`` or
+``--mode`` flag only when its type holds that field.  All CSV files begin
+with ``# key=value`` comment rows carrying the configuration hash and, for
+the sampling commands, the seed, so a rerun with the same inputs is
+byte-identical.
 
 Exit codes: 0 on success, 2 for configuration/validation problems, 1 for
 runtime failures.
@@ -24,7 +26,8 @@ import numpy as np
 
 from .analysis import noise_sweep, reference_bounds, relative_resolution, scaling_fit
 from .channel import GaussianMode, load_bd_calibration, overlap_gaussian
-from .config import ConfigError, ExperimentConfig, config_hash, load_config
+from . import config
+from .config import CONFIG_TYPES, ConfigError, config_hash, load_config
 from .decay import DecayModel, Markovian, Quadratic, Tabulated
 from .estimation import (
     SENSITIVITY_CSV_HEADER,
@@ -57,9 +60,10 @@ def _write_summary(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _comments(cfg: ExperimentConfig, section: str) -> list[tuple[str, object]]:
+def _comments(cfg, section: str) -> list[tuple[str, object]]:
     pairs = [("config_sha256", config_hash(cfg, section))]
-    if cfg.seed is not None:
+    # only the sampling commands' types hold a seed
+    if getattr(cfg, "seed", None) is not None:
         pairs.append(("seed", cfg.seed))
     return pairs
 
@@ -70,7 +74,8 @@ def _derived_seed(seed: int, *tags) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _decay_model(cfg: ExperimentConfig, section: str) -> DecayModel:
+def _decay_model(cfg: config.FringeConfig | config.CompareConfig | config.NoiseSweepConfig,
+                 section: str) -> DecayModel:
     if cfg.model_kind == "quadratic":
         return Quadratic(cfg.model_coefficient)
     if cfg.model_kind == "markovian":
@@ -81,7 +86,8 @@ def _decay_model(cfg: ExperimentConfig, section: str) -> DecayModel:
         raise ConfigError(f"[{section}] model_csv: {exc}") from None
 
 
-def _theta_grid(cfg: ExperimentConfig, fringe_frequency: int) -> np.ndarray:
+def _theta_grid(cfg: config.FringeConfig | config.CompareConfig,
+                fringe_frequency: int) -> np.ndarray:
     """Uniform grid on [0, pi] whose spacing lands the working point
     ``pi/(2m)`` on a node with two neighbours on each side.  The fit does not
     need the node; the rule stays so that sampled outputs do not change."""
@@ -94,7 +100,7 @@ def _theta_grid(cfg: ExperimentConfig, fringe_frequency: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, points)
 
 
-def _visibility_for(cfg: ExperimentConfig, position: int) -> float:
+def _visibility_for(cfg: config.FringeConfig, position: int) -> float:
     if cfg.visibilities is None:
         return 1.0
     if len(cfg.visibilities) == 1:
@@ -102,14 +108,14 @@ def _visibility_for(cfg: ExperimentConfig, position: int) -> float:
     return cfg.visibilities[position]
 
 
-def _interrogation_time(cfg: ExperimentConfig, spec: ProbeSpec,
+def _interrogation_time(cfg: config.FringeConfig, spec: ProbeSpec,
                         model: DecayModel) -> float:
     if cfg.interrogation_time == "opt":
         return optimal_time_for_probe(spec, model)
     return float(cfg.interrogation_time)
 
 
-def _run_fringe(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_fringe(cfg: config.FringeConfig, out: Path) -> dict:
     model = _decay_model(cfg, "fringe")
     # The dataset writes its own derived '# seed=' row.
     comments = [("config_sha256", config_hash(cfg, "fringe"))]
@@ -146,7 +152,7 @@ def _bootstrapped(data, t: float, trials: int,
              "failed_by_reason": errors.failures_by_reason})
 
 
-def _run_scaling(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_scaling(cfg: config.ScalingConfig, out: Path) -> dict:
     model = _decay_model(cfg, "scaling")
     comments = _comments(cfg, "scaling")
     series: dict = {"raw": [], "subtracted": []}
@@ -194,10 +200,7 @@ def _run_scaling(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _run_compare(cfg: ExperimentConfig, out: Path) -> dict:
-    if cfg.model_kind == "markovian":
-        raise ConfigError("[compare-markovian] model_kind: the test channel "
-                          "must not itself be markovian")
+def _run_compare(cfg: config.CompareConfig, out: Path) -> dict:
     model_test = _decay_model(cfg, "compare-markovian")
     model_ref = Markovian(cfg.markovian_rate)
     comments = _comments(cfg, "compare-markovian")
@@ -221,7 +224,7 @@ def _run_compare(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _compare_montecarlo(cfg: ExperimentConfig, n: int, model_test: DecayModel,
+def _compare_montecarlo(cfg: config.CompareConfig, n: int, model_test: DecayModel,
                         model_ref: Markovian) -> tuple[float, float, dict]:
     """Ratio and its stderr, and the bootstrap counts per series."""
     spec = ProbeSpec("ghz", n, 1.0)
@@ -241,15 +244,15 @@ def _compare_montecarlo(cfg: ExperimentConfig, n: int, model_test: DecayModel,
     return r2, stderr, counts
 
 
-def _run_noise_sweep(cfg: ExperimentConfig, out: Path) -> dict:
-    if cfg.model_kind != "quadratic":
-        raise ConfigError("[noise-sweep] model_kind: sweep bounds assume the "
-                          "quadratic family")
+def _run_noise_sweep(cfg: config.NoiseSweepConfig, out: Path) -> dict:
+    # validation admits only the quadratic family, whose closed forms take
+    # its coefficient
+    coefficient = _decay_model(cfg, "noise-sweep").coefficient
     comments = _comments(cfg, "noise-sweep")
     # N and its SQL and HL bounds do not depend on the visibility, so every
     # visibility shares them and their text: noise_sweep computes only the
     # GHZ column, and each distinct cell is formatted once
-    bounds = reference_bounds(range(1, cfg.n_max + 1), cfg.model_coefficient)
+    bounds = reference_bounds(range(1, cfg.n_max + 1), coefficient)
     n_text, sql_text, hl_text = (tuple(format_column(column)) for column in
                                  (bounds.n_values, bounds.sql, bounds.hl))
     crossings = {}
@@ -258,7 +261,7 @@ def _run_noise_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     # so fills crossings, before the summary is returned
     def rows():
         for v in cfg.fusion_visibilities:
-            sweep = noise_sweep(v, bounds, cfg.model_coefficient)
+            sweep = noise_sweep(v, bounds, coefficient)
             crossings[repr(v)] = sweep.crossing
             (v_text,) = format_column((v,))
             yield from zip(repeat(v_text), n_text,
@@ -271,16 +274,13 @@ def _run_noise_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     return {"crossings": crossings}
 
 
-def _run_witness(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_witness(cfg: config.WitnessConfig, out: Path) -> dict:
     comments = _comments(cfg, "witness")
     rows = []
-    has_settings = (cfg.x_expectation is not None
-                    and cfg.p_all_zero is not None
-                    and cfg.p_all_one is not None)
     if cfg.witness_value is not None:
         rows.append((None, "direct", cfg.witness_value,
                      fidelity_bound(cfg.witness_value)))
-    elif has_settings:
+    elif cfg.x_expectation is not None:  # validation: the three go together
         w = witness_from_settings(cfg.x_expectation, cfg.p_all_zero,
                                   cfg.p_all_one)
         rows.append((None, "settings", w, fidelity_bound(w)))
@@ -298,7 +298,7 @@ def _run_witness(cfg: ExperimentConfig, out: Path) -> dict:
     ]}
 
 
-def _run_channel_calibration(cfg: ExperimentConfig, out: Path) -> dict:
+def _run_channel_calibration(cfg: config.CalibrationConfig, out: Path) -> dict:
     try:
         table = load_bd_calibration(cfg.table_csv)
     except (OSError, ValueError) as exc:
@@ -332,6 +332,14 @@ _HANDLERS = {
 }
 
 
+# Flags that override a config field, on the subcommands whose type holds it.
+_FLAGS = {
+    "seed": {"type": int, "help": "sampling seed (overrides the config)"},
+    "mode": {"choices": ("analytic", "montecarlo"),
+             "help": "evaluation mode (overrides the config)"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenometry",
@@ -342,11 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None,
                        help="INI file; the section named after the subcommand applies")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="sampling seed (overrides the config)")
-        p.add_argument("--mode", choices=("analytic", "montecarlo"),
-                       default=None, help="evaluation mode (overrides the config)")
+        p.add_argument("--out", default="out", help="output directory")
+        for key, options in _FLAGS.items():
+            if hasattr(CONFIG_TYPES[name], key):
+                p.add_argument(f"--{key}", default=None, **options)
     return parser
 
 
@@ -354,14 +361,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, overrides={
-            "out_dir": args.out,
-            "seed": args.seed,
-            "mode": args.mode,
-        })
+            key: getattr(args, key, None) for key in _FLAGS})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         summary = _HANDLERS[args.command](cfg, out)
@@ -373,10 +377,9 @@ def main(argv=None) -> int:
         return 1
     payload = {
         "subcommand": args.command,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
         "config_sha256": config_hash(cfg, args.command),
     }
+    payload.update({key: getattr(cfg, key) for key in _FLAGS if hasattr(cfg, key)})
     payload.update(summary)
     _write_summary(out / "summary.json", payload)
     return 0

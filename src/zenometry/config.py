@@ -1,10 +1,16 @@
-"""INI experiment configuration: one section per subcommand.
+"""INI experiment configuration: one section and one config type per subcommand.
 
-Every run is described by a flat key/value section.  Unknown sections or keys
-are rejected so typos cannot silently fall back to defaults.  A canonical
-serialization (every field written explicitly, fixed order, ``repr`` floats)
-makes configuration hashes and rerun comparisons byte-stable:
-``serialize(parse(text))`` is a fixed point of ``parse``.
+``CONFIG_TYPES`` maps each subcommand to a frozen dataclass whose fields are
+exactly the keys its command reads; the annotations are the key table.  A
+section parses, validates, serializes and hashes only its own type's fields.
+A key that only another subcommand's type holds is dropped unread, so one
+body can serve several sections; an unknown section or key is rejected so a
+typo cannot silently fall back to a default.  A type's ``check(fail)`` calls
+``fail(key, message)``, which raises, on the first bad value; it checks the
+fields the type declares after ``super().check`` checks the inherited ones.
+A canonical serialization (every field written explicitly, fixed order,
+``repr`` floats) makes configuration hashes and rerun comparisons
+byte-stable: ``serialize(parse(text))`` is a fixed point of ``parse``.
 """
 
 from __future__ import annotations
@@ -21,28 +27,21 @@ from .probes import ORACLE_MAX_QUBITS
 
 __all__ = [
     "ConfigError",
-    "ExperimentConfig",
-    "SUBCOMMANDS",
+    "CONFIG_TYPES",
     "parse_config_text",
     "load_config",
     "serialize_config",
     "config_hash",
 ]
 
-SUBCOMMANDS = (
-    "fringe",
-    "scaling",
-    "compare-markovian",
-    "noise-sweep",
-    "witness",
-    "channel-calibration",
-)
-
 _MODES = ("analytic", "montecarlo")
 _MODEL_KINDS = ("quadratic", "markovian", "tabulated")
-_SAMPLING_COMMANDS = ("fringe", "scaling", "compare-markovian")
 
 _DEFAULT_MARKOVIAN_RATE = math.exp(-0.5)
+
+# Largest noise-sweep table (README): four visibilities at n_max = 1e6 took
+# 12 s and 494 MiB.  The crossings are solved for, so they need no longer table.
+N_MAX_LIMIT = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -50,32 +49,192 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """All knobs for one subcommand run (unused fields are ignored)."""
-
-    strategy: str = "ghz"
+class _Qubits:
     n_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
+
+    def check(self, fail) -> None:
+        if not self.n_values or any(n < 1 for n in self.n_values):
+            fail("n_values", "every qubit count must be >= 1")
+        if len(set(self.n_values)) != len(self.n_values):
+            fail("n_values", "every qubit count must appear once")
+
+
+@dataclass(frozen=True)
+class _Sampling(_Qubits):
     model_kind: str = "quadratic"
     model_coefficient: float = 1.0
     model_csv: str | None = None
-    markovian_rate: float = _DEFAULT_MARKOVIAN_RATE
-    interrogation_time: str = "opt"
+    mode: str = "analytic"
+    seed: int | None = None
     shots_per_setting: int = 1_000_000
     theta_points: int | None = None
+
+    def check(self, fail) -> None:
+        super().check(fail)
+        if self.model_kind not in _MODEL_KINDS:
+            fail("model_kind", f"must be one of {', '.join(_MODEL_KINDS)}")
+        if self.model_kind == "tabulated":
+            if self.model_csv is None:
+                fail("model_csv", "required for a tabulated model")
+            if not Path(self.model_csv).is_file():
+                fail("model_csv", f"file not found: {self.model_csv}")
+        elif self.model_coefficient <= 0.0:
+            fail("model_coefficient", "must be positive")
+        if self.mode not in _MODES:
+            fail("mode", f"must be one of {', '.join(_MODES)}")
+        if self.shots_per_setting < 1:
+            fail("shots_per_setting", "must be >= 1")
+        if self.theta_points is not None and self.theta_points < 5:
+            fail("theta_points", "need at least 5 points")
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            fail("seed", "must fit in an unsigned 64-bit integer")
+        if self.mode == "montecarlo" and self.seed is None:
+            fail("seed", "required when mode is montecarlo")
+
+
+@dataclass(frozen=True)
+class _Resampling(_Sampling):
     trials: int = 200
-    seed: int | None = None
+
+    def check(self, fail) -> None:
+        super().check(fail)
+        if self.trials < 100:
+            fail("trials", "need at least 100 resampling trials")
+
+
+@dataclass(frozen=True)
+class FringeConfig(_Sampling):
+    """``[fringe]``: one parity fringe per qubit number, with its cosine fit."""
+
+    strategy: str = "ghz"
     visibilities: tuple[float, ...] | None = None
-    fusion_visibility: float | None = None
+    interrogation_time: str = "opt"
+
+    def check(self, fail) -> None:
+        super().check(fail)
+        if self.strategy not in _STRATEGIES:
+            fail("strategy", f"must be one of {', '.join(_STRATEGIES)}")
+        if self.visibilities is not None:
+            if len(self.visibilities) not in (1, len(self.n_values)):
+                fail("visibilities", "give one value, or one per entry of n_values")
+            if any(not 0.0 < v <= 1.0 for v in self.visibilities):
+                fail("visibilities", "every value must lie in (0, 1]")
+        if self.interrogation_time != "opt":
+            try:
+                t = float(self.interrogation_time)
+            except ValueError:
+                fail("interrogation_time", "must be 'opt' or a number")
+            if not math.isfinite(t) or t < 0.0:
+                fail("interrogation_time", "must be finite and >= 0")
+
+
+@dataclass(frozen=True)
+class ScalingConfig(FringeConfig, _Resampling):
+    """``[scaling]``: the fringe keys, and the bootstrap's trial count."""
+
+    def check(self, fail) -> None:
+        super().check(fail)
+        if self.interrogation_time != "opt" and float(self.interrogation_time) == 0.0:
+            fail("interrogation_time", "must be positive for scaling")
+
+
+@dataclass(frozen=True)
+class CompareConfig(_Resampling):
+    """``[compare-markovian]``: ideal GHZ probes, each at its own optimal time."""
+
+    markovian_rate: float = _DEFAULT_MARKOVIAN_RATE
+
+    def check(self, fail) -> None:
+        super().check(fail)
+        if self.model_kind == "markovian":
+            fail("model_kind", "the test channel must not itself be markovian")
+        if self.markovian_rate <= 0.0:
+            fail("markovian_rate", "must be positive")
+
+
+@dataclass(frozen=True)
+class NoiseSweepConfig:
+    """``[noise-sweep]``: closed-form GHZ advantage per fusion visibility."""
+
+    model_kind: str = "quadratic"
+    model_coefficient: float = 1.0
     fusion_visibilities: tuple[float, ...] = (0.9, 0.95, 0.99, 1.0)
     n_max: int = 1000
+
+    def check(self, fail) -> None:
+        if self.model_kind != "quadratic":
+            fail("model_kind", "sweep bounds assume the quadratic family")
+        if self.model_coefficient <= 0.0:
+            fail("model_coefficient", "must be positive")
+        if not self.fusion_visibilities or any(
+                not 0.0 < v <= 1.0 for v in self.fusion_visibilities):
+            fail("fusion_visibilities", "every value must lie in (0, 1]")
+        if len(set(self.fusion_visibilities)) != len(self.fusion_visibilities):
+            fail("fusion_visibilities", "every value must appear once")
+        if not 1 <= self.n_max <= N_MAX_LIMIT:
+            fail("n_max", f"must lie in [1, {N_MAX_LIMIT}]")
+
+
+@dataclass(frozen=True)
+class WitnessConfig(_Qubits):
+    """``[witness]``: a direct value, three setting values, or the oracle."""
+
     witness_value: float | None = None
     x_expectation: float | None = None
     p_all_zero: float | None = None
     p_all_one: float | None = None
+    fusion_visibility: float | None = None
+
+    def check(self, fail) -> None:
+        super().check(fail)
+        for key, lo, hi in (("witness_value", -1.0, 3.0), ("x_expectation", -1.0, 1.0),
+                            ("p_all_zero", 0.0, 1.0), ("p_all_one", 0.0, 1.0)):
+            value = getattr(self, key)
+            if value is not None and not lo <= value <= hi:
+                fail(key, f"must lie in [{lo:g}, {hi:g}]")
+        if self.fusion_visibility is not None and not 0.0 < self.fusion_visibility <= 1.0:
+            fail("fusion_visibility", "must lie in (0, 1]")
+        settings = (self.x_expectation, self.p_all_zero, self.p_all_one)
+        has_settings = all(v is not None for v in settings)
+        if any(v is not None for v in settings) and not has_settings:
+            fail("x_expectation",
+                 "x_expectation, p_all_zero, and p_all_one go together")
+        if has_settings and self.p_all_zero + self.p_all_one > 1.0 + 1e-12:
+            fail("p_all_one", "p_all_zero and p_all_one cannot exceed 1 in total")
+        if self.witness_value is None and not has_settings:
+            if self.fusion_visibility is None:
+                fail("witness_value",
+                     "give witness_value, the three setting values, or fusion_visibility")
+            if any(n < 2 for n in self.n_values):
+                fail("n_values", "the witness needs at least 2 qubits")
+            if any(n > ORACLE_MAX_QUBITS for n in self.n_values):
+                fail("n_values", "the dense-matrix oracle holds at most "
+                     f"{ORACLE_MAX_QUBITS} qubits")
+
+
+@dataclass(frozen=True)
+class CalibrationConfig:
+    """``[channel-calibration]``: Gaussian waist and displacer table."""
+
     waist_mm: float = 1.05
     table_csv: str | None = None
-    mode: str = "analytic"
-    out_dir: str = "out"
+
+    def check(self, fail) -> None:
+        if self.waist_mm <= 0.0 or not math.isfinite(self.waist_mm):
+            fail("waist_mm", "must be finite and positive")
+        if self.table_csv is not None and not Path(self.table_csv).is_file():
+            fail("table_csv", f"file not found: {self.table_csv}")
+
+
+# Each subcommand's section is read into its own type.
+CONFIG_TYPES = {
+    "fringe": FringeConfig,
+    "scaling": ScalingConfig,
+    "compare-markovian": CompareConfig,
+    "noise-sweep": NoiseSweepConfig,
+    "witness": WitnessConfig,
+    "channel-calibration": CalibrationConfig,
+}
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -135,50 +294,58 @@ def _parser_for(name: str, hint):
     try:
         return _TYPE_PARSERS[hint]
     except KeyError:
-        raise TypeError(f"ExperimentConfig.{name}: no parser for {hint}") from None
+        raise TypeError(f"config field {name}: no parser for {hint}") from None
 
 
-_PARSERS = {name: _parser_for(name, hint)
-            for name, hint in typing.get_type_hints(ExperimentConfig).items()}
-_OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.default is None}
+# A key's annotation, and so its parser, is the same in every type that holds it.
+_PARSERS = {name: _parser_for(name, hint) for cls in CONFIG_TYPES.values()
+            for name, hint in typing.get_type_hints(cls).items()}
+_OPTIONAL = {f.name for cls in CONFIG_TYPES.values() for f in fields(cls)
+             if f.default is None}
+_KEYS = {section: {f.name for f in fields(cls)}
+         for section, cls in CONFIG_TYPES.items()}
 
 
-def parse_config_text(text: str) -> dict[str, ExperimentConfig]:
+def parse_config_text(text: str) -> dict[str, object]:
     """Parse an INI document into one config per present section."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
-    configs: dict[str, ExperimentConfig] = {}
+    configs: dict[str, object] = {}
     for section in parser.sections():
-        if section not in SUBCOMMANDS:
+        if section not in CONFIG_TYPES:
             raise ConfigError(
-                f"unknown section [{section}]; expected one of {', '.join(SUBCOMMANDS)}"
+                f"unknown section [{section}]; expected one of {', '.join(CONFIG_TYPES)}"
             )
         values: dict[str, object] = {}
         for key, raw in parser.items(section):
             if key not in _PARSERS:
                 raise ConfigError(f"[{section}] {key}: unknown key")
+            if key not in _KEYS[section]:
+                continue  # another subcommand's key: dropped unread
             if _is_none(raw):
                 if key in _OPTIONAL:
                     values[key] = None
                     continue
                 raise ConfigError(f"[{section}] {key}: value required")
             values[key] = _PARSERS[key](section, key, raw)
-        configs[section] = ExperimentConfig(**values)
+        configs[section] = CONFIG_TYPES[section](**values)
     return configs
 
 
-def load_config(path, section: str, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path, section: str, overrides: dict | None = None) -> object:
     """Load one section (defaults when the file or section is absent).
 
-    ``overrides`` maps field names to already-typed values (command-line
-    flags); they are applied after the file and validated together.
+    ``overrides`` maps fields of the section's type to already-typed values
+    (command-line flags); a ``None`` value is skipped.  They are applied
+    after the file, and the result's ``check`` raises ConfigError naming
+    ``[section] key`` on the first bad value.
     """
-    if section not in SUBCOMMANDS:
+    if section not in CONFIG_TYPES:
         raise ConfigError(f"unknown subcommand {section!r}")
-    cfg = ExperimentConfig()
+    cfg = CONFIG_TYPES[section]()
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -187,101 +354,12 @@ def load_config(path, section: str, overrides: dict | None = None) -> Experiment
         if section in configs:
             cfg = configs[section]
     if overrides:
-        names = {f.name for f in fields(cfg)}
-        for key in overrides:
-            if key not in names:
-                raise ConfigError(f"unknown override {key!r}")
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    validate_config(cfg, section)
-    return cfg
 
-
-def validate_config(cfg: ExperimentConfig, section: str) -> None:
-    """Domain checks with field-path error messages."""
-    def fail(key: str, message: str) -> None:
+    def fail(key: str, message: str) -> typing.NoReturn:
         raise ConfigError(f"[{section}] {key}: {message}")
-
-    if cfg.strategy not in _STRATEGIES:
-        fail("strategy", f"must be one of {', '.join(_STRATEGIES)}")
-    if cfg.mode not in _MODES:
-        fail("mode", f"must be one of {', '.join(_MODES)}")
-    if cfg.model_kind not in _MODEL_KINDS:
-        fail("model_kind", f"must be one of {', '.join(_MODEL_KINDS)}")
-    if not cfg.n_values or any(n < 1 for n in cfg.n_values):
-        fail("n_values", "every qubit count must be >= 1")
-    if len(set(cfg.n_values)) != len(cfg.n_values):
-        fail("n_values", "every qubit count must appear once")
-    if cfg.model_kind == "tabulated":
-        if cfg.model_csv is None:
-            fail("model_csv", "required for a tabulated model")
-        if not Path(cfg.model_csv).is_file():
-            fail("model_csv", f"file not found: {cfg.model_csv}")
-    elif cfg.model_coefficient <= 0.0:
-        fail("model_coefficient", "must be positive")
-    if cfg.markovian_rate <= 0.0:
-        fail("markovian_rate", "must be positive")
-    if cfg.interrogation_time != "opt":
-        try:
-            t = float(cfg.interrogation_time)
-        except ValueError:
-            fail("interrogation_time", "must be 'opt' or a number")
-        else:
-            if not math.isfinite(t) or t < 0.0:
-                fail("interrogation_time", "must be finite and >= 0")
-            if t == 0.0 and section == "scaling":
-                fail("interrogation_time", "must be positive for scaling")
-    if cfg.shots_per_setting < 1:
-        fail("shots_per_setting", "must be >= 1")
-    if cfg.theta_points is not None and cfg.theta_points < 5:
-        fail("theta_points", "need at least 5 points")
-    if cfg.trials < 100:
-        fail("trials", "need at least 100 resampling trials")
-    if cfg.seed is not None and not 0 <= cfg.seed < 2**64:
-        fail("seed", "must fit in an unsigned 64-bit integer")
-    if cfg.visibilities is not None:
-        if len(cfg.visibilities) not in (1, len(cfg.n_values)):
-            fail("visibilities", "give one value, or one per entry of n_values")
-        if any(not 0.0 < v <= 1.0 for v in cfg.visibilities):
-            fail("visibilities", "every value must lie in (0, 1]")
-    if cfg.fusion_visibility is not None and not 0.0 < cfg.fusion_visibility <= 1.0:
-        fail("fusion_visibility", "must lie in (0, 1]")
-    if not cfg.fusion_visibilities or any(
-            not 0.0 < v <= 1.0 for v in cfg.fusion_visibilities):
-        fail("fusion_visibilities", "every value must lie in (0, 1]")
-    if len(set(cfg.fusion_visibilities)) != len(cfg.fusion_visibilities):
-        fail("fusion_visibilities", "every value must appear once")
-    if cfg.n_max < 1:
-        fail("n_max", "must be >= 1")
-    if cfg.waist_mm <= 0.0 or not math.isfinite(cfg.waist_mm):
-        fail("waist_mm", "must be finite and positive")
-    if cfg.table_csv is not None and not Path(cfg.table_csv).is_file():
-        fail("table_csv", f"file not found: {cfg.table_csv}")
-    for key, lo, hi in (("witness_value", -1.0, 3.0), ("x_expectation", -1.0, 1.0),
-                        ("p_all_zero", 0.0, 1.0), ("p_all_one", 0.0, 1.0)):
-        value = getattr(cfg, key)
-        if value is not None and not lo <= value <= hi:
-            fail(key, f"must lie in [{lo:g}, {hi:g}]")
-
-    if section in _SAMPLING_COMMANDS and cfg.mode == "montecarlo" and cfg.seed is None:
-        fail("seed", "required when mode is montecarlo")
-    if section == "witness":
-        settings = (cfg.x_expectation, cfg.p_all_zero, cfg.p_all_one)
-        has_settings = all(v is not None for v in settings)
-        if any(v is not None for v in settings) and not has_settings:
-            fail("x_expectation",
-                 "x_expectation, p_all_zero, and p_all_one go together")
-        if has_settings and cfg.p_all_zero + cfg.p_all_one > 1.0 + 1e-12:
-            fail("p_all_one", "p_all_zero and p_all_one cannot exceed 1 in total")
-        if cfg.witness_value is None and not has_settings and cfg.fusion_visibility is None:
-            fail("witness_value",
-                 "give witness_value, the three setting values, or fusion_visibility")
-        if cfg.witness_value is None and not has_settings \
-                and cfg.fusion_visibility is not None:
-            if any(n < 2 for n in cfg.n_values):
-                fail("n_values", "the witness needs at least 2 qubits")
-            if any(n > ORACLE_MAX_QUBITS for n in cfg.n_values):
-                fail("n_values", "the dense-matrix oracle holds at most "
-                     f"{ORACLE_MAX_QUBITS} qubits")
+    cfg.check(fail)
+    return cfg
 
 
 def _format_value(value) -> str:
@@ -296,7 +374,7 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def serialize_config(cfg: ExperimentConfig, section: str) -> str:
+def serialize_config(cfg, section: str) -> str:
     """Canonical single-section INI text (every field, fixed order)."""
     lines = [f"[{section}]"]
     for f in fields(cfg):
@@ -304,12 +382,6 @@ def serialize_config(cfg: ExperimentConfig, section: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_hash(cfg: ExperimentConfig, section: str) -> str:
-    """SHA-256 of the canonical serialization.
-
-    The output directory is excluded: it locates the results but is not part
-    of the experiment, and reruns into different directories must hash alike.
-    """
-    text = serialize_config(cfg, section)
-    kept = [line for line in text.splitlines() if not line.startswith("out_dir =")]
-    return hashlib.sha256(("\n".join(kept) + "\n").encode()).hexdigest()
+def config_hash(cfg, section: str) -> str:
+    """SHA-256 of the canonical serialization."""
+    return hashlib.sha256(serialize_config(cfg, section).encode()).hexdigest()

@@ -101,8 +101,11 @@ def sensitivity_closed_form(spec: ProbeSpec, model: DecayModel, t: float) -> flo
     v0 = spec.visibility
     if v0 <= 0.0:
         raise ValueError("visibility must be positive for a finite variance")
-    return 1.0 / ((spec.n_qubits // m) * m * m * t * v0 * v0
-                  * math.exp(-2.0 * m * gamma))
+    information = (spec.n_qubits // m) * m * m * t * v0 * v0 * math.exp(-2.0 * m * gamma)
+    if information == 0.0:
+        raise ValueError(f"V0^2 exp(-2 m gamma(t)) underflows to 0 at V0 = {v0!r}, "
+                         f"t = {t!r}, so the variance is not finite")
+    return 1.0 / information
 
 
 SENSITIVITY_CSV_HEADER = ("N", "strategy", "t_opt", "d2omegaT", "fisher",

@@ -12,8 +12,8 @@ in fixed-size chunks, a column at a time, and writes each chunk to the open
 file at once; a caller that formats a column shared by many rows once, with
 ``format_column``, hands the writer ``str`` cells that cost it nothing.
 The reader skips blank lines and comment rows wherever they appear, strips
-whitespace around cells, unquotes quoted cells, and reports a malformed row
-as ``path:line``.
+whitespace around cells, unquotes quoted cells, and reports a malformed row,
+or a comment key given twice, as ``path:line``.
 """
 
 from __future__ import annotations
@@ -77,14 +77,15 @@ def write_table(path, comments, header, rows) -> None:
     each chunk is formatted a column at a time by ``format_column`` and
     written to the open file, so no copy of the whole text is ever built.
     Cells that are already ``str`` are written as they are.  A key given
-    by two ``(key, value)`` comments raises ValueError, since the reader
-    would keep only the last.
+    by two comments raises ValueError, as the reader refuses it; a
+    free-text comment holding ``=`` gives the key before its first ``=``.
     """
-    keys = [c[0] for c in comments if not isinstance(c, str)]
-    if len(set(keys)) != len(keys):
-        raise ValueError(f"repeated comment key in {keys}")
     lines = [f"# {c}" if isinstance(c, str) else f"# {c[0]}={_format_cell(c[1])}"
              for c in comments]
+    # the keys the reader sees, free-text comments that look like one included
+    keys = [line[1:].partition("=")[0].strip() for line in lines if "=" in line]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"repeated comment key in {keys}")
     lines.append(",".join(header))
     rows = iter(rows)
     with open(path, "w") as fh:
@@ -108,7 +109,8 @@ def read_table(path, header, types) -> tuple[dict[str, str], list[tuple]]:
     """Read a table whose header row is exactly ``header``.
 
     Returns the ``# key=value`` metadata as strings, and one tuple per row
-    whose cell ``i`` is converted by ``types[i]``.
+    whose cell ``i`` is converted by ``types[i]``.  A key given by two
+    comment rows raises ValueError.
     """
     header = list(header)
     expected = ",".join(header)
@@ -122,6 +124,8 @@ def read_table(path, header, types) -> tuple[dict[str, str], list[tuple]]:
         if text.startswith("#"):
             key, sep, value = text[1:].partition("=")
             if sep:
+                if key.strip() in metadata:
+                    raise ValueError(f"{path}:{lineno}: repeated comment key {key.strip()!r}")
                 metadata[key.strip()] = value.strip()
             continue
         cells = [c.strip() for c in next(csv.reader([line]))]

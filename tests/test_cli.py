@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import zenometry.cli
 from zenometry import sample_fringe
 from zenometry.analysis import noise_sweep, reference_bounds
 from zenometry.cli import _theta_grid, main
-from zenometry.config import ExperimentConfig, config_hash, load_config
+from zenometry.config import CONFIG_TYPES, FringeConfig, config_hash, load_config
 from zenometry.tables import _CHUNK_ROWS
 
 from test_tables import per_row_reference
@@ -267,10 +268,25 @@ class TestCompare:
                         "failed_by_reason": reasons()}}
         assert summary["bootstrap"] == {"test": counts, "reference": counts}
 
-    def test_markovian_test_channel_rejected(self, tmp_path):
+    def test_markovian_test_channel_rejected(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "compare-markovian",
                     "[compare-markovian]\nmodel_kind = markovian\n")
         assert rc == 2
+        assert "[compare-markovian] model_kind: the test channel must not " \
+            "itself be markovian" in capsys.readouterr().err
+        # refused in validation, before the output directory is made
+        assert not (tmp_path / "out").exists()
+
+    def test_fringe_keys_in_the_section_are_dropped(self, tmp_path):
+        # one body can serve [scaling] and [compare-markovian]
+        body = "n_values = 1..3\ntrials = 150\n"
+        run(tmp_path, "compare-markovian", "[compare-markovian]\n" + body)
+        plain = (tmp_path / "out" / "relative_resolution.csv").read_bytes()
+        rc, _ = run(tmp_path, "compare-markovian",
+                    "[compare-markovian]\n" + body + "strategy = product\n"
+                    "visibilities = 0.5\ninterrogation_time = 9\n")
+        assert rc == 0
+        assert (tmp_path / "out" / "relative_resolution.csv").read_bytes() == plain
 
 
 class TestNoiseSweep:
@@ -313,10 +329,36 @@ class TestNoiseSweep:
         assert summary["crossings"] == {"0.99": 280, "0.9995": 9115,
                                         "1.0": None}
 
-    def test_requires_quadratic(self, tmp_path):
+    def test_requires_quadratic(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "noise-sweep",
                     "[noise-sweep]\nmodel_kind = markovian\n")
         assert rc == 2
+        assert "[noise-sweep] model_kind: sweep bounds assume the quadratic " \
+            "family" in capsys.readouterr().err
+        # refused in validation, before the output directory is made
+        assert not (tmp_path / "out").exists()
+
+    def test_resampling_keys_are_not_read(self, tmp_path):
+        # noise-sweep never resamples, so its section may carry a trial
+        # count that scaling would refuse
+        text = "[noise-sweep]\nn_max = 20\n"
+        rc, summary = run(tmp_path, "noise-sweep", text + "trials = 50\n")
+        assert rc == 0
+        first = (tmp_path / "out" / "noise_sweep.csv").read_bytes()
+        rc, _ = run(tmp_path, "noise-sweep", text)
+        assert rc == 0
+        assert (tmp_path / "out" / "noise_sweep.csv").read_bytes() == first
+        # no sampling, so no seed and no mode
+        assert not {"seed", "mode"} & set(summary)
+        assert b"# seed=" not in first
+
+    def test_n_max_budget(self, tmp_path, capsys):
+        rc, summary = run(tmp_path, "noise-sweep",
+                          "[noise-sweep]\nn_max = 1000001\n")
+        assert rc == 2
+        assert summary is None
+        assert not (tmp_path / "out" / "noise_sweep.csv").exists()
+        assert "[noise-sweep] n_max:" in capsys.readouterr().err
 
     def test_duplicate_visibility_rejected(self, tmp_path, capsys):
         rc, summary = run(tmp_path, "noise-sweep",
@@ -382,6 +424,24 @@ class TestWitness:
     def test_no_source_rejected(self, tmp_path):
         rc, _ = run(tmp_path, "witness", "[witness]\nseed = 1\n")
         assert rc == 2
+
+    def test_sampling_keys_leave_rows_and_hash_alone(self, tmp_path):
+        text = "[witness]\nwitness_value = -0.7052\n"
+        run(tmp_path, "witness", text)
+        plain = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        rc, summary = run(tmp_path, "witness", text + "shots_per_setting = 7\n"
+                          "strategy = product\nseed = 3\n")
+        assert rc == 0
+        assert {p.name: p.read_bytes()
+                for p in (tmp_path / "out").iterdir()} == plain
+        assert not {"seed", "mode"} & set(summary)
+
+    def test_no_mode_flag(self, tmp_path, capsys):
+        for flag in (["--mode", "montecarlo"], ["--seed", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["witness", "--out", str(tmp_path / "out"), *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, field", [
         ("witness_value = 5\n", "witness_value"),
@@ -468,7 +528,7 @@ class TestThetaGrid:
     def test_working_point_is_an_inner_node(self):
         sizes = []
         for m in range(1, 13):
-            grid = _theta_grid(ExperimentConfig(), m)
+            grid = _theta_grid(FringeConfig(), m)
             intervals = grid.size - 1
             assert intervals % (2 * m) == 0 and intervals >= 4 * m
             idx = intervals // (2 * m)
@@ -478,7 +538,7 @@ class TestThetaGrid:
         assert sizes == [25, 25, 25, 25, 21, 25, 29, 33, 37, 41, 45, 49]
 
     def test_explicit_size_wins(self):
-        grid = _theta_grid(ExperimentConfig(theta_points=7), 3)
+        grid = _theta_grid(FringeConfig(theta_points=7), 3)
         assert grid.tolist() == np.linspace(0.0, math.pi, 7).tolist()
 
 
@@ -488,10 +548,11 @@ class TestRuntimeDependencies:
             import sys
             import zenometry, zenometry.cli
             out = {str(tmp_path)!r}
-            for command in ("channel-calibration", "noise-sweep", "fringe"):
-                rc = zenometry.cli.main([command, "--out", f"{{out}}/{{command}}",
-                                         "--mode", "analytic"])
-                assert rc == 0, command
+            # noise-sweep and channel-calibration have no --mode flag
+            for argv in (["channel-calibration"], ["noise-sweep"],
+                         ["fringe", "--mode", "analytic"]):
+                rc = zenometry.cli.main([*argv, "--out", f"{{out}}/{{argv[0]}}"])
+                assert rc == 0, argv
             assert "scipy" not in sys.modules, "scipy was imported"
         """)
         src = str(Path(zenometry.__file__).resolve().parent.parent)
@@ -535,6 +596,29 @@ class TestErrorPaths:
     def test_unknown_config_key(self, tmp_path):
         rc, _ = run(tmp_path, "fringe", "[fringe]\nqubits = 3\n")
         assert rc == 2
+        # --out names the output directory; the INI has no key for it
+        elsewhere = tmp_path / "elsewhere"
+        rc, _ = run(tmp_path, "witness",
+                    f"[witness]\nwitness_value = -0.5\nout_dir = {elsewhere}\n")
+        assert rc == 2
+        assert not elsewhere.exists()
+
+    @pytest.mark.parametrize("text", [
+        "[scaling]\ninterrogation_time = 50\n",
+        "[scaling]\ninterrogation_time = 1e300\n",
+        "[scaling]\nvisibilities = 1e-300\n",
+        "[channel-calibration]\nwaist_mm = 1e-300\n",
+    ], ids=["time-50", "time-1e300", "visibility-1e-300", "waist-1e-300"])
+    def test_underflow_is_one_error_line(self, tmp_path, capsys, text):
+        # each once raised ZeroDivisionError out of main
+        command = text[1:text.index("]")]
+        rc, summary = run(tmp_path, command, text)
+        assert rc == 1
+        assert summary is None
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_runtime_failure(self, tmp_path):
         # interrogation beyond the tabulated range: a run-time, not config, error
@@ -554,3 +638,55 @@ class TestErrorPaths:
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert "config_sha256" in payload
+
+
+def _recording(cfg, reads):
+    """A copy of ``cfg`` that adds the name of each field read to ``reads``."""
+    names = {f.name for f in fields(cfg)}
+
+    class Recording(type(cfg)):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(name)
+            return super().__getattribute__(name)
+    return Recording(**{name: getattr(cfg, name) for name in names})
+
+
+_MC = "mode = montecarlo\nseed = 4\nshots_per_setting = 2000\n"
+_READ_CASES = {
+    "fringe": ["n_values = 1, 2\nvisibilities = 0.9\n",
+               "n_values = 2\ninterrogation_time = 0.3\n" + _MC,
+               "n_values = 1, 2\nmodel_kind = tabulated\n"],
+    "scaling": ["n_values = 1..3\n",
+                "n_values = 1..3\ntrials = 100\nvisibilities = 0.9\n" + _MC,
+                "n_values = 1..3\nmodel_kind = tabulated\n"],
+    "compare-markovian": ["n_values = 1, 2\n",
+                          "n_values = 2\ntrials = 100\n" + _MC,
+                          "n_values = 1, 2\nmodel_kind = tabulated\n"],
+    "noise-sweep": ["n_max = 30\n"],
+    "witness": ["witness_value = -0.5\n",
+                "x_expectation = 0.8\np_all_zero = 0.45\np_all_one = 0.44\n",
+                "fusion_visibility = 0.9\nn_values = 2, 3\n"],
+    "channel-calibration": [""],
+}
+
+
+@pytest.mark.parametrize("command", list(_READ_CASES))
+def test_handlers_read_every_field_of_their_type(tmp_path, monkeypatch,
+                                                  command):
+    # every mode, model family and witness route together read each field
+    # of the command's type; hashing reads them all, so it is left out
+    table = tmp_path / "gamma.csv"
+    table.write_text("t,gamma\n" + "".join(
+        f"{0.05 * i!r},{(0.05 * i) ** 2!r}\n" for i in range(41)))
+    monkeypatch.setattr(zenometry.cli, "config_hash", lambda cfg, section: "0")
+    reads = set()
+    for position, body in enumerate(_READ_CASES[command]):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[{command}]\n{body}model_csv = {table}\n"
+                       if "tabulated" in body else f"[{command}]\n{body}")
+        cfg = load_config(ini, command)
+        out = tmp_path / str(position)
+        out.mkdir()
+        zenometry.cli._HANDLERS[command](_recording(cfg, reads), out)
+    assert reads == {f.name for f in fields(CONFIG_TYPES[command])}

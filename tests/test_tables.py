@@ -178,9 +178,23 @@ def test_writer_rejects_a_repeated_comment_key(tmp_path):
     path = tmp_path / "twice.csv"
     with pytest.raises(ValueError, match="repeated comment key"):
         write_table(path, [("seed", 42), "free text", ("seed", 7)], ("a",), [(1,)])
-    # free-text comments may repeat, and may look like a key
-    write_table(path, ["note", "note", "seed=1", ("seed", 2)], ("a",), [(1,)])
+    # free-text comments may repeat, but one that reads as a key counts as it
+    with pytest.raises(ValueError, match="repeated comment key"):
+        write_table(path, ["seed=1", ("seed", 2)], ("a",), [(1,)])
+    write_table(path, ["note", "note", "seed", ("seed", 2)], ("a",), [(1,)])
     assert read_table(path, ("a",), (int,)) == ({"seed": "2"}, [(1,)])
+
+
+def test_reader_rejects_a_repeated_comment_key(tmp_path):
+    # a montecarlo fringe file written before the CLI dropped its config
+    # seed row carries two '# seed=' rows
+    path = tmp_path / "old.csv"
+    path.write_text("# config_sha256=ab\n# seed=5\na\n1\n# seed =7\n")
+    with pytest.raises(ValueError, match=rf"old\.csv:5: repeated comment key 'seed'"):
+        read_table(path, ("a",), (int,))
+    path.write_text("# config_sha256=ab\na\n1\n# seed =7\n")
+    assert read_table(path, ("a",), (int,)) == ({"config_sha256": "ab", "seed": "7"},
+                                                [(1,)])
 
 
 def test_writer_rejects_ragged_rows(tmp_path):
