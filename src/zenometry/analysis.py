@@ -98,14 +98,23 @@ class ReferenceBounds:
     hl: tuple[float, ...]
 
 
-def reference_bounds(n_values, gamma_coefficient: float) -> ReferenceBounds:
-    ns = [int(n) for n in n_values]
-    if not ns or any(n < 1 for n in ns):
-        raise ValueError("need qubit counts >= 1")
+def _anchor(gamma_coefficient: float) -> float:
+    """The bounds' shared ``2 sqrt(e c)``, refused when it is not finite."""
     c = float(gamma_coefficient)
     if not math.isfinite(c) or c <= 0.0:
         raise ValueError("decay coefficient must be positive")
     anchor = 2.0 * math.sqrt(math.e * c)
+    if anchor == math.inf:
+        raise ValueError(f"decay coefficient {c!r} is too large: 2 sqrt(e c) "
+                         "overflows")
+    return anchor
+
+
+def reference_bounds(n_values, gamma_coefficient: float) -> ReferenceBounds:
+    ns = [int(n) for n in n_values]
+    if not ns or any(n < 1 for n in ns):
+        raise ValueError("need qubit counts >= 1")
+    anchor = _anchor(gamma_coefficient)
     return ReferenceBounds(
         n_values=tuple(ns),
         sql=tuple(anchor / n for n in ns),
@@ -172,32 +181,25 @@ def noise_sweep(fusion_visibility: float, n_values,
     reports an infinite variance rather than an error.
 
     ``n_values`` may also be the ``ReferenceBounds`` that
-    ``reference_bounds(ns, gamma_coefficient)`` returned: its N tuple and SQL
-    column are then taken as they are, so a sweep over several visibilities
-    computes only the GHZ column for each.
+    ``reference_bounds(ns, gamma_coefficient)`` returned; N values are made
+    into those first.  Their N tuple and SQL column are taken as they are, so
+    a sweep over several visibilities computes only the GHZ column for each.
     """
     v = float(fusion_visibility)
     if not 0.0 < v <= 1.0:
         raise ValueError("fusion visibility must lie in (0, 1]")
-    c = float(gamma_coefficient)
-    if not math.isfinite(c) or c <= 0.0:
-        raise ValueError("decay coefficient must be positive")
-    anchor = 2.0 * math.sqrt(math.e * c)
-    if isinstance(n_values, ReferenceBounds):
-        ns, sql = n_values.n_values, n_values.sql
-        if not ns or len(sql) != len(ns) or sql[0] != anchor / ns[0]:
-            raise ValueError("bounds must be reference_bounds(n_values, "
-                             "gamma_coefficient)")
-    else:
-        ns = tuple(int(n) for n in n_values)
-        if not ns or any(n < 1 for n in ns):
-            raise ValueError("need qubit counts >= 1")
-        sql = tuple(anchor / n for n in ns)
+    anchor = _anchor(gamma_coefficient)
+    bounds = (n_values if isinstance(n_values, ReferenceBounds)
+              else reference_bounds(n_values, gamma_coefficient))
+    ns, sql = bounds.n_values, bounds.sql
+    if not ns or len(sql) != len(ns) or sql[0] != anchor / ns[0]:
+        raise ValueError("bounds must be reference_bounds(n_values, "
+                         "gamma_coefficient)")
     d2 = tuple(anchor / denominator if denominator > 0.0 else math.inf
                for denominator in (n**1.5 * v**n for n in ns))
     return NoiseSweepResult(
         fusion_visibility=v,
-        gamma_coefficient=c,
+        gamma_coefficient=float(gamma_coefficient),
         n_values=ns,
         d2omega_t_ghz=d2,
         bound_sql=sql,

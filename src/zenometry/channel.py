@@ -112,10 +112,6 @@ class TabulatedMode:
     def spacing(self) -> float:
         return self._dx
 
-    @property
-    def intensity_norm(self) -> float:
-        return _simpson(self._a * self._a, self._dx)
-
     @classmethod
     def gaussian(cls, mode: GaussianMode, half_width: float = 6.0,
                  points: int = 4097) -> "TabulatedMode":

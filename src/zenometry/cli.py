@@ -74,16 +74,14 @@ def _derived_seed(seed: int, *tags) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _decay_model(cfg: config.FringeConfig | config.CompareConfig | config.NoiseSweepConfig,
-                 section: str) -> DecayModel:
+def _decay_model(cfg: config.FringeConfig | config.CompareConfig
+                 | config.NoiseSweepConfig) -> DecayModel:
     if cfg.model_kind == "quadratic":
         return Quadratic(cfg.model_coefficient)
     if cfg.model_kind == "markovian":
         return Markovian(cfg.model_coefficient)
-    try:
-        return Tabulated.from_csv(cfg.model_csv)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"[{section}] model_csv: {exc}") from None
+    # validation has loaded this table once already
+    return Tabulated.from_csv(cfg.model_csv)
 
 
 def _theta_grid(cfg: config.FringeConfig | config.CompareConfig,
@@ -116,7 +114,7 @@ def _interrogation_time(cfg: config.FringeConfig, spec: ProbeSpec,
 
 
 def _run_fringe(cfg: config.FringeConfig, out: Path) -> dict:
-    model = _decay_model(cfg, "fringe")
+    model = _decay_model(cfg)
     # The dataset writes its own derived '# seed=' row.
     comments = [("config_sha256", config_hash(cfg, "fringe"))]
     per_n = {}
@@ -153,7 +151,7 @@ def _bootstrapped(data, t: float, trials: int,
 
 
 def _run_scaling(cfg: config.ScalingConfig, out: Path) -> dict:
-    model = _decay_model(cfg, "scaling")
+    model = _decay_model(cfg)
     comments = _comments(cfg, "scaling")
     series: dict = {"raw": [], "subtracted": []}
     bootstrap: dict = {"raw": {}, "subtracted": {}}
@@ -201,7 +199,7 @@ def _run_scaling(cfg: config.ScalingConfig, out: Path) -> dict:
 
 
 def _run_compare(cfg: config.CompareConfig, out: Path) -> dict:
-    model_test = _decay_model(cfg, "compare-markovian")
+    model_test = _decay_model(cfg)
     model_ref = Markovian(cfg.markovian_rate)
     comments = _comments(cfg, "compare-markovian")
     rows = []
@@ -247,7 +245,7 @@ def _compare_montecarlo(cfg: config.CompareConfig, n: int, model_test: DecayMode
 def _run_noise_sweep(cfg: config.NoiseSweepConfig, out: Path) -> dict:
     # validation admits only the quadratic family, whose closed forms take
     # its coefficient
-    coefficient = _decay_model(cfg, "noise-sweep").coefficient
+    coefficient = _decay_model(cfg).coefficient
     comments = _comments(cfg, "noise-sweep")
     # N and its SQL and HL bounds do not depend on the visibility, so every
     # visibility shares them and their text: noise_sweep computes only the
@@ -299,10 +297,7 @@ def _run_witness(cfg: config.WitnessConfig, out: Path) -> dict:
 
 
 def _run_channel_calibration(cfg: config.CalibrationConfig, out: Path) -> dict:
-    try:
-        table = load_bd_calibration(cfg.table_csv)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"[channel-calibration] table_csv: {exc}") from None
+    table = load_bd_calibration(cfg.table_csv)  # validation has loaded it once
     mode = GaussianMode(cfg.waist_mm)
     comments = _comments(cfg, "channel-calibration")
     rows = []
@@ -369,9 +364,6 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         summary = _HANDLERS[args.command](cfg, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, FitError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,8 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .channel import load_bd_calibration
+from .decay import Tabulated
 from .fringes import _STRATEGIES
 from .probes import ORACLE_MAX_QUBITS
 
@@ -42,10 +44,27 @@ _DEFAULT_MARKOVIAN_RATE = math.exp(-0.5)
 # Largest noise-sweep table (README): four visibilities at n_max = 1e6 took
 # 12 s and 494 MiB.  The crossings are solved for, so they need no longer table.
 N_MAX_LIMIT = 1_000_000
+# Size caps of the sampling commands, refused before anything is allocated.
+# A fringe has theta_points settings, or up to 4 N + 1 by default, and the
+# bootstrap holds about 80 bytes per trial and setting: README gives the
+# budget at the caps.
+QUBITS_LIMIT = 1000
+THETA_POINTS_LIMIT = 4 * QUBITS_LIMIT + 1
+TRIALS_LIMIT = 1000
 
 
 class ConfigError(ValueError):
     """A configuration file or value failed validation."""
+
+
+def _check_table(fail, key: str, path: str, load) -> None:
+    """Load the table once, so a bad one fails before any output is made."""
+    if not Path(path).is_file():
+        fail(key, f"file not found: {path}")
+    try:
+        load(path)
+    except (OSError, ValueError) as exc:
+        fail(key, str(exc))
 
 
 @dataclass(frozen=True)
@@ -53,8 +72,8 @@ class _Qubits:
     n_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 
     def check(self, fail) -> None:
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            fail("n_values", "every qubit count must be >= 1")
+        if not self.n_values or any(not 1 <= n <= QUBITS_LIMIT for n in self.n_values):
+            fail("n_values", f"every qubit count must lie in [1, {QUBITS_LIMIT}]")
         if len(set(self.n_values)) != len(self.n_values):
             fail("n_values", "every qubit count must appear once")
 
@@ -76,16 +95,16 @@ class _Sampling(_Qubits):
         if self.model_kind == "tabulated":
             if self.model_csv is None:
                 fail("model_csv", "required for a tabulated model")
-            if not Path(self.model_csv).is_file():
-                fail("model_csv", f"file not found: {self.model_csv}")
+            _check_table(fail, "model_csv", self.model_csv, Tabulated.from_csv)
         elif self.model_coefficient <= 0.0:
             fail("model_coefficient", "must be positive")
         if self.mode not in _MODES:
             fail("mode", f"must be one of {', '.join(_MODES)}")
         if self.shots_per_setting < 1:
             fail("shots_per_setting", "must be >= 1")
-        if self.theta_points is not None and self.theta_points < 5:
-            fail("theta_points", "need at least 5 points")
+        if (self.theta_points is not None
+                and not 5 <= self.theta_points <= THETA_POINTS_LIMIT):
+            fail("theta_points", f"must lie in [5, {THETA_POINTS_LIMIT}]")
         if self.seed is not None and not 0 <= self.seed < 2**64:
             fail("seed", "must fit in an unsigned 64-bit integer")
         if self.mode == "montecarlo" and self.seed is None:
@@ -98,8 +117,8 @@ class _Resampling(_Sampling):
 
     def check(self, fail) -> None:
         super().check(fail)
-        if self.trials < 100:
-            fail("trials", "need at least 100 resampling trials")
+        if not 100 <= self.trials <= TRIALS_LIMIT:
+            fail("trials", f"must lie in [100, {TRIALS_LIMIT}]")
 
 
 @dataclass(frozen=True)
@@ -222,8 +241,8 @@ class CalibrationConfig:
     def check(self, fail) -> None:
         if self.waist_mm <= 0.0 or not math.isfinite(self.waist_mm):
             fail("waist_mm", "must be finite and positive")
-        if self.table_csv is not None and not Path(self.table_csv).is_file():
-            fail("table_csv", f"file not found: {self.table_csv}")
+        if self.table_csv is not None:
+            _check_table(fail, "table_csv", self.table_csv, load_bd_calibration)
 
 
 # Each subcommand's section is read into its own type.
@@ -262,6 +281,9 @@ def _parse_int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
         hi = _parse_int(section, key, hi_txt.strip())
         if hi < lo:
             raise ConfigError(f"[{section}] {key}: empty range {raw!r}")
+        if hi - lo >= QUBITS_LIMIT:
+            raise ConfigError(f"[{section}] {key}: range {raw!r} holds more "
+                              f"than {QUBITS_LIMIT} values")
         return tuple(range(lo, hi + 1))
     items = [c.strip() for c in raw.split(",") if c.strip()]
     if not items:

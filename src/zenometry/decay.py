@@ -27,8 +27,15 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _finite_optimum(t: float, term: str, n: int) -> float:
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"optimal time at N = {n} is {t!r}: {term} or its "
+                         "reciprocal leaves the float range")
+    return t
+
+
 class DecayModel:
-    """Decay exponent ``gamma(t)``, its instantaneous rate, and its optimum.
+    """Decay exponent ``gamma(t)`` and its optimum.
 
     ``optimal_time(n)`` maximises ``t exp(-2 n gamma(t))`` in closed form:
     ``1 / (2 n rate)``, ``sqrt(1 / (4 n c))``, or for a table the best of the
@@ -37,10 +44,6 @@ class DecayModel:
 
     def gamma_at(self, t: float) -> float:
         """Decay exponent at time ``t >= 0``."""
-        raise NotImplementedError
-
-    def dgamma_dt(self, t: float) -> float:
-        """Instantaneous dephasing rate ``d(gamma)/dt``."""
         raise NotImplementedError
 
     def optimal_time(self, n: int) -> float:
@@ -65,14 +68,10 @@ class Markovian(DecayModel):
     def gamma_at(self, t: float) -> float:
         return self.rate * _check_time(t)
 
-    def dgamma_dt(self, t: float) -> float:
-        _check_time(t)
-        return self.rate
-
     def optimal_time(self, n: int) -> float:
         if self.rate <= 0.0:
             raise ValueError("a zero-rate channel has no finite optimum")
-        return 1.0 / (2.0 * n * self.rate)
+        return _finite_optimum(1.0 / (2.0 * n * self.rate), "2 N rate", n)
 
 
 @dataclass(frozen=True)
@@ -89,13 +88,11 @@ class Quadratic(DecayModel):
         t = _check_time(t)
         return self.coefficient * t * t
 
-    def dgamma_dt(self, t: float) -> float:
-        return 2.0 * self.coefficient * _check_time(t)
-
     def optimal_time(self, n: int) -> float:
         if self.coefficient <= 0.0:
             raise ValueError("a zero-coefficient channel has no finite optimum")
-        return math.sqrt(1.0 / (4.0 * n * self.coefficient))
+        return _finite_optimum(math.sqrt(1.0 / (4.0 * n * self.coefficient)),
+                               "4 N c", n)
 
 
 class Tabulated(DecayModel):
@@ -103,9 +100,7 @@ class Tabulated(DecayModel):
 
     A leading ``(0, 0)`` sample is prepended when the table starts later, so
     ``gamma(0) = 0`` always holds.  Queries beyond the last sample are
-    rejected rather than extrapolated.  The rate is the segment slope, and at
-    an interior knot it is the mean of the two adjacent slopes; the rate is
-    only defined strictly inside the sampled range.
+    rejected rather than extrapolated.
     """
 
     def __init__(self, samples) -> None:
@@ -146,19 +141,6 @@ class Tabulated(DecayModel):
                 f"t={t!r} outside the sampled range [0, {self.t_max!r}]"
             )
         return float(np.interp(t, self._times, self._gammas))
-
-    def dgamma_dt(self, t: float) -> float:
-        t = _check_time(t)
-        if t <= 0.0 or t >= self.t_max:
-            raise ValueError(
-                "rate is defined strictly inside the sampled range"
-            )
-        hits = np.nonzero(self._times == t)[0]
-        if hits.size:
-            k = int(hits[0])
-            return float(0.5 * (self._slopes[k - 1] + self._slopes[k]))
-        seg = int(np.searchsorted(self._times, t)) - 1
-        return float(self._slopes[seg])
 
     def optimal_time(self, n: int) -> float:
         """``2 n gamma(t) - ln t`` is convex on each segment, so the clipped

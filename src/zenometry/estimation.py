@@ -33,7 +33,6 @@ __all__ = [
     "FitResult",
     "SensitivityResult",
     "MonteCarloErrors",
-    "SENSITIVITY_CSV_HEADER",
     "working_point",
     "optimal_time",
     "optimal_time_for_probe",
@@ -73,7 +72,7 @@ def optimal_time(model: DecayModel, n: int) -> float:
     The model solves it in closed form: ``1 / (2 N rate)`` (linear),
     ``sqrt(1 / (4 N c))`` (quadratic), or for a table the best per-segment
     root ``1 / (2 N slope)`` clipped to its segment; a table that ends
-    before ``2 N t dgamma/dt`` reaches 1 is an error.
+    before ``2 N t slope`` reaches 1 is an error.
     """
     n = int(n)
     if n < 1:
@@ -172,10 +171,6 @@ class FitResult:
     @property
     def amplitude_stderr(self) -> float:
         return float(math.sqrt(max(self.covariance[0, 0], 0.0)))
-
-    @property
-    def phase_stderr(self) -> float:
-        return float(math.sqrt(max(self.covariance[1, 1], 0.0)))
 
 
 # Read-out failure codes in check order (0 is success, 1-4 from ``_fit_rows``):
@@ -482,6 +477,8 @@ def noise_subtract(data: FringeDataset, v0: float) -> FringeDataset:
     v0 = float(v0)
     if not 0.0 < v0 <= 1.0:
         raise ValueError("V0 must lie in (0, 1]")
+    if 1.0 / v0 == math.inf:
+        raise ValueError(f"V0 = {v0!r} is too small: 1 / V0 overflows")
     scaled = data.estimate / v0
     with np.errstate(invalid="ignore"):
         clamped = np.abs(scaled) > 1.0

@@ -90,6 +90,14 @@ class TestReferenceBounds:
         with pytest.raises(ValueError):
             reference_bounds([1, 2], 0.0)
 
+    def test_overflowing_anchor_refused(self):
+        # 2 sqrt(e c) is inf from c = 1e308 on, which left every bound inf
+        assert math.isfinite(reference_bounds([1], 6e307).sql[0])
+        for call in (lambda: reference_bounds([1, 2], 1e308),
+                     lambda: noise_sweep(0.9, [1, 2], 1e308)):
+            with pytest.raises(ValueError, match=r"2 sqrt\(e c\) overflows"):
+                call()
+
 
 class TestRelativeResolution:
     def test_sqrt_n_for_matched_calibration(self):

@@ -1,10 +1,13 @@
 """End-to-end runs of every subcommand through the console entry point."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 from dataclasses import fields
@@ -12,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenometry
 import zenometry.cli
@@ -238,6 +243,20 @@ class TestScaling:
                     "interrogation_time = 0\n")
         assert rc == 0
 
+    @pytest.mark.parametrize("kind, term", [("quadratic", "4 N c"),
+                                            ("markovian", "2 N rate")])
+    def test_overflowing_optimum_names_its_cause(self, tmp_path, capsys, kind,
+                                                 term):
+        # the product overflows, so the optimal time once read 0 and the
+        # error blamed the interrogation time
+        rc, summary = run(tmp_path, "scaling", f"[scaling]\nmodel_kind = {kind}\n"
+                          "model_coefficient = 1e308\n")
+        assert rc == 1
+        assert summary is None
+        assert capsys.readouterr().err == (
+            f"error: optimal time at N = 1 is 0.0: {term} or its reciprocal "
+            "leaves the float range\n")
+
 
 class TestCompare:
     def test_analytic_sqrt_n(self, tmp_path):
@@ -359,6 +378,16 @@ class TestNoiseSweep:
         assert summary is None
         assert not (tmp_path / "out" / "noise_sweep.csv").exists()
         assert "[noise-sweep] n_max:" in capsys.readouterr().err
+
+    def test_overflowing_anchor_is_one_error_line(self, tmp_path, capsys):
+        # 2 sqrt(e c) overflows: every row would read inf beside a finite
+        # crossing
+        rc, summary = run(tmp_path, "noise-sweep",
+                          "[noise-sweep]\nmodel_coefficient = 1e308\nn_max = 3\n")
+        assert rc == 1
+        assert summary is None
+        assert capsys.readouterr().err == (
+            "error: decay coefficient 1e+308 is too large: 2 sqrt(e c) overflows\n")
 
     def test_duplicate_visibility_rejected(self, tmp_path, capsys):
         rc, summary = run(tmp_path, "noise-sweep",
@@ -495,6 +524,8 @@ class TestChannelCalibration:
         rc, _ = run(tmp_path, "channel-calibration",
                     f"[channel-calibration]\ntable_csv = {bad}\n")
         assert rc == 2
+        # refused in validation, before the output directory is made
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("row, message", [
         ("0.5,-1.0,3.0", "intensities must be finite and non-negative"),
@@ -510,6 +541,7 @@ class TestChannelCalibration:
         assert summary is None
         err = capsys.readouterr().err
         assert f"[channel-calibration] table_csv: {table}: {message}" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["fringe", "scaling"])
     def test_bad_model_table_rejected(self, tmp_path, capsys, command):
@@ -522,6 +554,7 @@ class TestChannelCalibration:
         assert summary is None
         err = capsys.readouterr().err
         assert f"[{command}] model_csv: {bad}:3:" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestThetaGrid:
@@ -620,6 +653,28 @@ class TestErrorPaths:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("text", [
+        "[fringe]\nn_values = 1..1000000000000\n",
+        "[fringe]\nn_values = 1000000000000\n",
+        "[fringe]\ntheta_points = 1000000000000\n",
+        "[scaling]\nmode = montecarlo\nseed = 1\ntrials = 1000000000000\n",
+        "[compare-markovian]\nmode = montecarlo\nseed = 1\n"
+        "trials = 1000000000000\n",
+    ], ids=["n-range", "n-value", "theta-points", "scaling-trials",
+            "compare-trials"])
+    def test_oversized_value_refused_before_allocating(self, tmp_path, capsys,
+                                                      text):
+        # each once ended in a MemoryError traceback; at these sizes the
+        # allocation fails at once, so nothing is allocated either way
+        command = text[1:text.index("]")]
+        key = text.splitlines()[-1].partition(" =")[0]
+        rc, summary = run(tmp_path, command, text)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{command}] {key}: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure(self, tmp_path):
         # interrogation beyond the tabulated range: a run-time, not config, error
         table = tmp_path / "gamma.csv"
@@ -690,3 +745,57 @@ def test_handlers_read_every_field_of_their_type(tmp_path, monkeypatch,
         out.mkdir()
         zenometry.cli._HANDLERS[command](_recording(cfg, reads), out)
     assert reads == {f.name for f in fields(CONFIG_TYPES[command])}
+
+
+# Small runs of every subcommand; an example replaces one key's value.
+_SMALL_RUNS = {
+    "fringe": {"n_values": "1, 2", "seed": "3", "shots_per_setting": "1000"},
+    "scaling": {"n_values": "1..3", "seed": "3", "shots_per_setting": "1000",
+                "trials": "100"},
+    "compare-markovian": {"n_values": "1, 2", "seed": "3",
+                          "shots_per_setting": "1000", "trials": "100"},
+    "noise-sweep": {"n_max": "30"},
+    "witness": {"n_values": "2, 3", "fusion_visibility": "0.9"},
+    "channel-calibration": {},
+}
+# Never a size between the caps and 10**12: without the caps such a value
+# really allocates, and from 10**12 on the allocation fails at once.
+_EXTREMES = st.one_of(st.sampled_from(["-1", "0", "1e-320", "1e308", "nan", ""]),
+                      st.integers(10**12, 10**30).map(str))
+
+
+@st.composite
+def _extreme_runs(draw):
+    command = draw(st.sampled_from(sorted(_SMALL_RUNS)))
+    body = dict(_SMALL_RUNS[command])
+    if "seed" in body:
+        body["mode"] = draw(st.sampled_from(["analytic", "montecarlo"]))
+    names = sorted(f.name for f in fields(CONFIG_TYPES[command]))
+    key = draw(st.sampled_from(names))
+    body[key] = draw(_EXTREMES)
+    return command, names, body
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_extreme_runs())
+def test_extreme_values_end_cleanly(case):
+    # an extreme value exits 0, 2 naming a key, or 1 with one error line;
+    # an exception escaping main would print a traceback
+    command, names, body = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        ini = Path(tmp) / "exp.ini"
+        ini.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n"
+                                                    for k, v in body.items()))
+        rc = main([command, "--config", str(ini), "--out", f"{tmp}/out"])
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1, lines
+        if rc == 2:
+            section, _, rest = lines[0].partition("] ")
+            assert section == f"error: [{command}"
+            assert rest.partition(":")[0] in names
+        else:
+            assert rc == 1 and lines[0].startswith("error: ")

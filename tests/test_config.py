@@ -138,6 +138,15 @@ mode = montecarlo
         with pytest.raises(ConfigError, match="empty range"):
             parse_config_text("[fringe]\nn_values = 6..1\n")
 
+    def test_range_length_checked_before_expansion(self):
+        limit = config.QUBITS_LIMIT
+        assert parse_config_text(f"[fringe]\nn_values = 1..{limit}\n")[
+            "fringe"].n_values == tuple(range(1, limit + 1))
+        for text in (f"1..{limit + 1}", "0..1000000000000"):
+            with pytest.raises(ConfigError, match=rf"\[fringe\] n_values: range "
+                               f"'{text}' holds more than {limit} values"):
+                parse_config_text(f"[fringe]\nn_values = {text}\n")
+
     def test_malformed_ini(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_config_text("strategy = ghz\n")  # key before any section
@@ -210,6 +219,28 @@ class TestValidation:
         for n_max in (0, config.N_MAX_LIMIT + 1):
             with pytest.raises(ConfigError, match=r"\[noise-sweep\] n_max"):
                 self.check("noise-sweep", n_max=n_max)
+
+    @pytest.mark.parametrize("section, key, lo, hi", [
+        ("fringe", "theta_points", 5, config.THETA_POINTS_LIMIT),
+        ("scaling", "trials", 100, config.TRIALS_LIMIT),
+        ("compare-markovian", "trials", 100, config.TRIALS_LIMIT),
+    ])
+    def test_size_caps(self, section, key, lo, hi):
+        self.check(section, **{key: lo})
+        self.check(section, **{key: hi})
+        for value in (lo - 1, hi + 1):
+            with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: "
+                               rf"must lie in \[{lo}, {hi}\]"):
+                self.check(section, **{key: value})
+
+    def test_qubit_cap(self):
+        for section in ("fringe", "scaling", "compare-markovian", "witness"):
+            with pytest.raises(ConfigError, match=rf"\[{section}\] n_values: every "
+                               rf"qubit count must lie in \[1, {config.QUBITS_LIMIT}\]"):
+                self.check(section, n_values=(2, config.QUBITS_LIMIT + 1))
+        self.check("fringe", n_values=(1, config.QUBITS_LIMIT))
+        # the default grid of the largest N, and the largest explicit grid
+        assert config.THETA_POINTS_LIMIT == 4 * config.QUBITS_LIMIT + 1
 
     def test_model_families_per_command(self):
         with pytest.raises(ConfigError, match=r"\[noise-sweep\] model_kind: "

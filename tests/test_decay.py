@@ -1,10 +1,9 @@
-"""Decay-exponent models: values, rates, and family properties."""
+"""Decay-exponent models: values and family properties."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from zenometry import Markovian, Quadratic, Tabulated
 
@@ -27,14 +26,11 @@ class TestValues:
         m = Markovian(0.5)
         assert m.gamma_at(2.0) == pytest.approx(1.0, abs=1e-15)
         assert m.coherence_factor(2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert m.dgamma_dt(0.0) == 0.5
-        assert m.dgamma_dt(17.3) == 0.5
 
     def test_quadratic_examples(self):
         q = Quadratic(1.0)
         assert q.gamma_at(0.5) == pytest.approx(0.25, abs=1e-15)
         assert q.coherence_factor(0.5) == pytest.approx(math.exp(-0.25), rel=1e-15)
-        assert q.dgamma_dt(0.5) == pytest.approx(1.0, abs=1e-15)
         assert q.gamma_at(0.0) == 0.0
 
     def test_tabulated_interpolation(self):
@@ -43,13 +39,6 @@ class TestValues:
         assert tab.gamma_at(1.5) == pytest.approx(0.55, abs=1e-15)
         assert tab.gamma_at(0.5) == pytest.approx(0.15, abs=1e-15)
         assert tab.gamma_at(2.0) == pytest.approx(0.8, abs=1e-15)
-
-    def test_tabulated_rate_segments_and_knots(self):
-        tab = Tabulated(TAB_SAMPLES)
-        assert tab.dgamma_dt(1.5) == pytest.approx(0.5, abs=1e-15)
-        assert tab.dgamma_dt(0.5) == pytest.approx(0.3, abs=1e-15)
-        # interior knot: mean of the adjacent segment slopes
-        assert tab.dgamma_dt(1.0) == pytest.approx(0.4, abs=1e-15)
 
     def test_tabulated_explicit_origin_kept(self):
         tab = Tabulated([(0.0, 0.0), (1.0, 0.2)])
@@ -72,19 +61,6 @@ class TestProperties:
                 assert 0.0 <= g1 <= g2
                 c1, c2 = model.coherence_factor(t1), model.coherence_factor(t2)
                 assert 0.0 < c2 <= c1 <= 1.0
-
-    def test_rate_integrates_back_to_gamma(self):
-        # adaptive quadrature of the rate recovers the exponent
-        cases = [
-            (Markovian(0.7), 1.7, ()),
-            (Quadratic(1.3), 1.2, ()),
-            (Tabulated([(0.0, 0.0), (0.5, 0.1), (0.8, 0.1), (2.5, 1.9)]),
-             2.3, (0.5, 0.8)),
-        ]
-        for model, t_end, knots in cases:
-            integral, _ = quad(model.dgamma_dt, 1e-12, t_end,
-                               points=list(knots) or None, limit=200)
-            assert integral == pytest.approx(model.gamma_at(t_end), abs=1e-10)
 
     def test_markovian_semigroup_exact_on_dyadics(self):
         m = Markovian(0.75)
@@ -119,18 +95,22 @@ class TestValidation:
         for model in models_under_test():
             with pytest.raises(ValueError):
                 model.gamma_at(-0.5)
-            with pytest.raises(ValueError):
-                model.dgamma_dt(-0.5)
+
+    def test_optimum_out_of_float_range_refused(self):
+        # 2 N rate or 4 N c overflows (optimum 0) or its reciprocal does (inf)
+        for model, term in ((Markovian(1e308), "2 N rate"),
+                            (Markovian(1e-320), "2 N rate"),
+                            (Quadratic(1e308), "4 N c"),
+                            (Quadratic(1e-320), "4 N c")):
+            with pytest.raises(ValueError, match=f"N = 3 .*: {term} or its "
+                               "reciprocal leaves the float range"):
+                model.optimal_time(3)
+        assert Quadratic(1e300).optimal_time(3) > 0.0
 
     def test_tabulated_range_enforced(self):
         tab = Tabulated(TAB_SAMPLES)
         with pytest.raises(ValueError, match="outside the sampled range"):
             tab.gamma_at(2.5)
-        # the rate needs a segment on both sides conceptually: edges rejected
-        with pytest.raises(ValueError):
-            tab.dgamma_dt(0.0)
-        with pytest.raises(ValueError):
-            tab.dgamma_dt(2.0)
 
     def test_tabulated_shape_errors(self):
         with pytest.raises(ValueError):

@@ -654,6 +654,10 @@ class TestNoiseSubtraction:
             noise_subtract(data, 0.0)
         with pytest.raises(ValueError):
             noise_subtract(data, 1.2)
+        # a subnormal V0 once overflowed the division with a RuntimeWarning
+        with pytest.raises(ValueError, match="1 / V0 overflows"):
+            noise_subtract(data, 1e-320)
+        assert noise_subtract(data, 1e-300).noise_divisor == 1e-300
 
     def test_composes_for_resampling(self):
         data, t = TestMonteCarlo.ideal_dataset()
