@@ -153,8 +153,6 @@ class NoiseSweepResult:
     callers that read it row by row.
     """
 
-    fusion_visibility: float
-    gamma_coefficient: float
     n_values: tuple[int, ...]
     d2omega_t_ghz: tuple[float, ...]
     bound_sql: tuple[float, ...]
@@ -198,8 +196,6 @@ def noise_sweep(fusion_visibility: float, n_values,
     d2 = tuple(anchor / denominator if denominator > 0.0 else math.inf
                for denominator in (n**1.5 * v**n for n in ns))
     return NoiseSweepResult(
-        fusion_visibility=v,
-        gamma_coefficient=float(gamma_coefficient),
         n_values=ns,
         d2omega_t_ghz=d2,
         bound_sql=sql,

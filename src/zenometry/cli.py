@@ -56,10 +56,6 @@ from .tables import format_column, write_table
 __all__ = ["main", "build_parser"]
 
 
-def _write_summary(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _comments(cfg, section: str) -> list[tuple[str, object]]:
     pairs = [("config_sha256", config_hash(cfg, section))]
     # only the sampling commands' types hold a seed
@@ -98,6 +94,14 @@ def _theta_grid(cfg: config.FringeConfig | config.CompareConfig,
     return np.linspace(0.0, math.pi, points)
 
 
+def _sample(cfg: config.FringeConfig | config.CompareConfig, spec: ProbeSpec,
+            model: DecayModel, t: float, *tags):
+    """The configured shots on the default grid, from a seed derived from
+    the config seed and ``tags``."""
+    return sample_fringe(spec, model, t, _theta_grid(cfg, spec.fringe_frequency),
+                         cfg.shots_per_setting, _derived_seed(cfg.seed, *tags))
+
+
 def _visibility_for(cfg: config.FringeConfig, position: int) -> float:
     if cfg.visibilities is None:
         return 1.0
@@ -121,12 +125,11 @@ def _run_fringe(cfg: config.FringeConfig, out: Path) -> dict:
     for position, n in enumerate(cfg.n_values):
         spec = ProbeSpec(cfg.strategy, n, _visibility_for(cfg, position))
         t = _interrogation_time(cfg, spec, model)
-        grid = _theta_grid(cfg, spec.fringe_frequency)
         if cfg.mode == "montecarlo":
-            data = sample_fringe(spec, model, t, grid, cfg.shots_per_setting,
-                                 _derived_seed(cfg.seed, "fringe", n))
+            data = _sample(cfg, spec, model, t, "fringe", n)
         else:
-            data = synthetic_fringe(spec, model, t, grid)
+            data = synthetic_fringe(spec, model, t,
+                                    _theta_grid(cfg, spec.fringe_frequency))
         data.to_csv(out / f"fringe_n{n}.csv", extra_comments=comments)
         fit = fit_fringe(data)
         per_n[str(n)] = {
@@ -165,9 +168,7 @@ def _run_scaling(cfg: config.ScalingConfig, out: Path) -> dict:
                 ProbeSpec(cfg.strategy, n, 1.0), model, t))
             continue
         # one sampled fringe per N, read out raw and noise-subtracted
-        data = sample_fringe(spec, model, t, _theta_grid(cfg, spec.fringe_frequency),
-                             cfg.shots_per_setting,
-                             _derived_seed(cfg.seed, "scaling", n))
+        data = _sample(cfg, spec, model, t, "scaling", n)
         for name, fringe in (("raw", data), ("subtracted", noise_subtract(data, v0))):
             result, bootstrap[name][str(n)] = _bootstrapped(
                 fringe, t, cfg.trials, _derived_seed(cfg.seed, "scaling-mc", n, name))
@@ -230,9 +231,7 @@ def _compare_montecarlo(cfg: config.CompareConfig, n: int, model_test: DecayMode
     counts = {}
     for tag, model in (("test", model_test), ("reference", model_ref)):
         t = optimal_time_for_probe(spec, model)
-        data = sample_fringe(spec, model, t, _theta_grid(cfg, spec.fringe_frequency),
-                             cfg.shots_per_setting,
-                             _derived_seed(cfg.seed, "compare", n, tag))
+        data = _sample(cfg, spec, model, t, "compare", n, tag)
         results[tag], counts[tag] = _bootstrapped(
             data, t, cfg.trials, _derived_seed(cfg.seed, "compare-mc", n, tag))
     test, ref = results["test"], results["reference"]
@@ -373,7 +372,8 @@ def main(argv=None) -> int:
     }
     payload.update({key: getattr(cfg, key) for key in _FLAGS if hasattr(cfg, key)})
     payload.update(summary)
-    _write_summary(out / "summary.json", payload)
+    (out / "summary.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

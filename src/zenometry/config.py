@@ -387,8 +387,6 @@ def load_config(path, section: str, overrides: dict | None = None) -> object:
 def _format_value(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

@@ -123,7 +123,6 @@ class SensitivityResult:
     derivative_omega: float
     d2omega_t: float
     stderr_amplitude: float | None = None
-    stderr_derivative: float | None = None
     stderr_d2omega_t: float | None = None
     stderr_fisher: float | None = None
 
@@ -188,8 +187,14 @@ _FAILURES = (
 )
 
 
+def _raise_failure(code: int) -> None:
+    """Raise the error of a nonzero read-out failure code."""
+    _, kind, message = _FAILURES[code]
+    raise kind(message)
+
+
 def _fit_rows(theta: np.ndarray, estimate: np.ndarray, stderr: np.ndarray,
-              m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+              m: int) -> tuple[np.ndarray, ...]:
     """Closed-form fit of ``A cos(m theta + phi)`` to every row at once.
 
     ``estimate`` and ``stderr`` have shape (rows, settings) over the shared
@@ -197,9 +202,9 @@ def _fit_rows(theta: np.ndarray, estimate: np.ndarray, stderr: np.ndarray,
     ``c cos(m theta) - s sin(m theta)``, so each row is a weighted linear
     least-squares problem whose 2x2 normal equations are solved by Cramer's
     rule.  Returns the canonical amplitude ``hypot(c, s)`` and phase
-    ``atan2(s, c)`` in (-pi, pi], whether the row was weighted, and its
-    failure code (an index into ``_FAILURES``).  Parameters of failed rows
-    are meaningless.
+    ``atan2(s, c)`` in (-pi, pi], whether the row was weighted, its
+    per-point weights (0 off the usable points), and its failure code (an
+    index into ``_FAILURES``).  Parameters of failed rows are meaningless.
     """
     usable = np.isfinite(estimate)
     count = np.count_nonzero(usable, axis=1)
@@ -232,7 +237,7 @@ def _fit_rows(theta: np.ndarray, estimate: np.ndarray, stderr: np.ndarray,
     phase = np.where(phase <= -math.pi, math.pi, phase)
     failure = np.select([count < 5, short, singular, amplitude == 0.0],
                         [1, 2, 3, 4], 0)
-    return amplitude, phase, weighted, failure
+    return amplitude, phase, weighted, w, failure
 
 
 def fit_fringe(data: FringeDataset) -> FitResult:
@@ -250,11 +255,10 @@ def fit_fringe(data: FringeDataset) -> FitResult:
     singular.
     """
     m = data.fringe_frequency
-    amplitudes, phases, weighted_rows, failures = _fit_rows(
+    amplitudes, phases, weighted_rows, weights, failures = _fit_rows(
         data.theta, data.estimate[None, :], data.stderr[None, :], m)
     if failures[0]:
-        _, kind, message = _FAILURES[failures[0]]
-        raise kind(message)
+        _raise_failure(failures[0])
     amplitude = float(amplitudes[0])
     phase = float(phases[0])
     weighted = bool(weighted_rows[0])
@@ -262,7 +266,7 @@ def fit_fringe(data: FringeDataset) -> FitResult:
     mask = data.usable
     theta = data.theta[mask]
     y = data.estimate[mask]
-    w = 1.0 / data.stderr[mask]**2 if weighted else np.ones(theta.size)
+    w = weights[0, mask]
     arg = m * theta + phase
     residuals = y - amplitude * np.cos(arg)
     jac = np.column_stack((np.cos(arg), -amplitude * np.sin(arg)))
@@ -326,7 +330,7 @@ def _read_out(data: FringeDataset, estimate: np.ndarray, stderr: np.ndarray,
     ``_FAILURES``); values of failed rows are meaningless.
     """
     m = data.fringe_frequency
-    amplitude, phase, _, failure = _fit_rows(data.theta, estimate, stderr, m)
+    amplitude, phase, _, _, failure = _fit_rows(data.theta, estimate, stderr, m)
     arg = m * theta_w + phase
     expectation = amplitude * np.cos(arg)
     domega = -m * amplitude * np.sin(arg) * t
@@ -352,8 +356,7 @@ def sensitivity_from_fringe(data: FringeDataset, t: float) -> SensitivityResult:
     amplitude, expectation, domega, d2, failure = _read_out(
         data, data.estimate[None, :], data.stderr[None, :], t, theta_w)
     if failure[0]:
-        _, kind, message = _FAILURES[failure[0]]
-        raise kind(message)
+        _raise_failure(failure[0])
     return SensitivityResult(
         strategy=data.strategy,
         n_qubits=data.n_qubits,
@@ -370,7 +373,6 @@ class MonteCarloErrors:
     """Spread of pipeline outputs over count-resampled replicas."""
 
     amplitude: float
-    derivative: float
     d2omega_t: float
     fisher: float
     failed_trials: int
@@ -430,8 +432,7 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
         estimate = np.clip(estimate / data.noise_divisor, -1.0, 1.0)
         stderr = stderr / data.noise_divisor
 
-    amplitude, _, domega, d2, failure = _read_out(data, estimate, stderr, t,
-                                                  theta_w)
+    amplitude, _, _, d2, failure = _read_out(data, estimate, stderr, t, theta_w)
     counts = np.bincount(failure, minlength=len(_FAILURES))
     n_failed = trials - int(counts[0])
     if n_failed > 0.1 * trials:
@@ -446,7 +447,6 @@ def monte_carlo_errorbar(data: FringeDataset, t: float, trials: int,
         return float(np.std(values, ddof=1))
     return MonteCarloErrors(
         amplitude=spread(amplitude[ok]),
-        derivative=spread(domega[ok]),
         d2omega_t=spread(d2),
         fisher=spread(1.0 / (data.n_qubits * d2)),
         failed_trials=n_failed,
@@ -461,7 +461,6 @@ def apply_monte_carlo_errors(result: SensitivityResult,
     return replace(
         result,
         stderr_amplitude=errors.amplitude,
-        stderr_derivative=errors.derivative,
         stderr_d2omega_t=errors.d2omega_t,
         stderr_fisher=errors.fisher,
     )

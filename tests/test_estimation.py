@@ -101,7 +101,7 @@ def scalar_read_out(replica, t):
 def bootstrap_reference(data, t, trials, seed, messages=None):
     """Per-trial bootstrap: one validated replica dataset per trial, run
     through :func:`scalar_read_out`.  Returns the failure count and the
-    spreads as ``(amplitude, derivative, d2omega_t, fisher)``; counts each
+    spreads as ``(amplitude, d2omega_t, fisher)``; counts each
     failure's error message into the ``messages`` Counter if one is given."""
     n_minus = data.n_total - data.n_plus
     rows = []
@@ -117,13 +117,13 @@ def bootstrap_reference(data, t, trials, seed, messages=None):
         replica = data.replace(n_plus=plus, n_total=total, estimate=estimate,
                                stderr=stderr)
         try:
-            amplitude, domega, d2 = scalar_read_out(replica, t)
+            amplitude, _, d2 = scalar_read_out(replica, t)
         except (ValueError, FitError) as exc:
             failed += 1
             if messages is not None:
                 messages[str(exc)] += 1
             continue
-        rows.append((amplitude, domega, d2, 1.0 / (data.n_qubits * d2)))
+        rows.append((amplitude, d2, 1.0 / (data.n_qubits * d2)))
     return failed, [float(np.std(col, ddof=1)) for col in zip(*rows)]
 
 
@@ -589,8 +589,7 @@ class TestMonteCarlo:
             failed, spreads = bootstrap_reference(data, t, trials, seed)
             assert errors.trials == trials, label
             assert errors.failed_trials == failed == failures, label
-            batched = (errors.amplitude, errors.derivative, errors.d2omega_t,
-                       errors.fisher)
+            batched = (errors.amplitude, errors.d2omega_t, errors.fisher)
             for got, want in zip(batched, spreads):
                 assert got == pytest.approx(want, rel=1e-12), label
 
