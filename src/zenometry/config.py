@@ -22,7 +22,7 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .channel import load_bd_calibration
+from .channel import GaussianMode, load_bd_calibration
 from .decay import Tabulated
 from .fringes import _STRATEGIES
 from .probes import ORACLE_MAX_QUBITS
@@ -51,6 +51,9 @@ N_MAX_LIMIT = 1_000_000
 QUBITS_LIMIT = 1000
 THETA_POINTS_LIMIT = 4 * QUBITS_LIMIT + 1
 TRIALS_LIMIT = 1000
+# Counts pass through float64 in the estimates and the bootstrap means, which
+# holds integers exactly only up to 2**53.
+SHOTS_LIMIT = 2**53
 
 
 class ConfigError(ValueError):
@@ -100,8 +103,8 @@ class _Sampling(_Qubits):
             fail("model_coefficient", "must be positive")
         if self.mode not in _MODES:
             fail("mode", f"must be one of {', '.join(_MODES)}")
-        if self.shots_per_setting < 1:
-            fail("shots_per_setting", "must be >= 1")
+        if not 1 <= self.shots_per_setting <= SHOTS_LIMIT:
+            fail("shots_per_setting", f"must lie in [1, {SHOTS_LIMIT}]")
         if (self.theta_points is not None
                 and not 5 <= self.theta_points <= THETA_POINTS_LIMIT):
             fail("theta_points", f"must lie in [5, {THETA_POINTS_LIMIT}]")
@@ -239,8 +242,10 @@ class CalibrationConfig:
     table_csv: str | None = None
 
     def check(self, fail) -> None:
-        if self.waist_mm <= 0.0 or not math.isfinite(self.waist_mm):
-            fail("waist_mm", "must be finite and positive")
+        try:
+            GaussianMode(self.waist_mm)
+        except ValueError as exc:
+            fail("waist_mm", str(exc))
         if self.table_csv is not None:
             _check_table(fail, "table_csv", self.table_csv, load_bd_calibration)
 

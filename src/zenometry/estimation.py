@@ -101,9 +101,10 @@ def sensitivity_closed_form(spec: ProbeSpec, model: DecayModel, t: float) -> flo
     if v0 <= 0.0:
         raise ValueError("visibility must be positive for a finite variance")
     information = (spec.n_qubits // m) * m * m * t * v0 * v0 * math.exp(-2.0 * m * gamma)
-    if information == 0.0:
-        raise ValueError(f"V0^2 exp(-2 m gamma(t)) underflows to 0 at V0 = {v0!r}, "
-                         f"t = {t!r}, so the variance is not finite")
+    if information == 0.0 or 1.0 / information == math.inf:
+        raise ValueError(f"(N // m) m^2 t V0^2 exp(-2 m gamma(t)) is {information!r} "
+                         f"at V0 = {v0!r}, t = {t!r}, so the variance, its "
+                         "reciprocal, is not finite")
     return 1.0 / information
 
 

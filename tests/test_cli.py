@@ -527,6 +527,18 @@ class TestChannelCalibration:
         # refused in validation, before the output directory is made
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("waist", ["1e-300", "1e-320"])
+    def test_unusable_waist_refused(self, tmp_path, capsys, waist):
+        # GaussianMode's own rule: the waist's square must not underflow
+        rc, summary = run(tmp_path, "channel-calibration",
+                          f"[channel-calibration]\nwaist_mm = {waist}\n")
+        assert rc == 2
+        assert summary is None
+        assert capsys.readouterr().err == (
+            f"error: [channel-calibration] waist_mm: waist {waist} is too small: "
+            "its square underflows\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("row, message", [
         ("0.5,-1.0,3.0", "intensities must be finite and non-negative"),
         ("-0.5,1.0,3.0", "per-displacer displacement must be >= 0"),
@@ -640,8 +652,8 @@ class TestErrorPaths:
         "[scaling]\ninterrogation_time = 50\n",
         "[scaling]\ninterrogation_time = 1e300\n",
         "[scaling]\nvisibilities = 1e-300\n",
-        "[channel-calibration]\nwaist_mm = 1e-300\n",
-    ], ids=["time-50", "time-1e300", "visibility-1e-300", "waist-1e-300"])
+        "[scaling]\ninterrogation_time = 1e-320\n",
+    ], ids=["time-50", "time-1e300", "visibility-1e-300", "time-1e-320"])
     def test_underflow_is_one_error_line(self, tmp_path, capsys, text):
         # each once raised ZeroDivisionError out of main
         command = text[1:text.index("]")]

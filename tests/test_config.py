@@ -202,8 +202,9 @@ class TestValidation:
             self.check(seed=2**64)
         with pytest.raises(ConfigError, match="markovian_rate"):
             self.check("compare-markovian", markovian_rate=0.0)
-        with pytest.raises(ConfigError, match="waist_mm"):
-            self.check("channel-calibration", waist_mm=0.0)
+        for waist in (0.0, 1e-320):
+            with pytest.raises(ConfigError, match="waist_mm"):
+                self.check("channel-calibration", waist_mm=waist)
         with pytest.raises(ConfigError, match="interrogation_time"):
             self.check(interrogation_time="-1.0")
         with pytest.raises(ConfigError, match="interrogation_time"):
@@ -224,6 +225,7 @@ class TestValidation:
         ("fringe", "theta_points", 5, config.THETA_POINTS_LIMIT),
         ("scaling", "trials", 100, config.TRIALS_LIMIT),
         ("compare-markovian", "trials", 100, config.TRIALS_LIMIT),
+        ("fringe", "shots_per_setting", 1, config.SHOTS_LIMIT),
     ])
     def test_size_caps(self, section, key, lo, hi):
         self.check(section, **{key: lo})
