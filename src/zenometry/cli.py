@@ -96,8 +96,8 @@ def _theta_grid(cfg: config.FringeConfig | config.CompareConfig,
 
 def _sample(cfg: config.FringeConfig | config.CompareConfig, spec: ProbeSpec,
             model: DecayModel, t: float, *tags):
-    """The configured shots on the default grid, from a seed derived from
-    the config seed and ``tags``."""
+    """A sampled fringe: the configured grid and shots, and a seed derived
+    from the config seed and ``tags``."""
     return sample_fringe(spec, model, t, _theta_grid(cfg, spec.fringe_frequency),
                          cfg.shots_per_setting, _derived_seed(cfg.seed, *tags))
 

@@ -655,7 +655,8 @@ class TestErrorPaths:
         "[scaling]\ninterrogation_time = 1e-320\n",
     ], ids=["time-50", "time-1e300", "visibility-1e-300", "time-1e-320"])
     def test_underflow_is_one_error_line(self, tmp_path, capsys, text):
-        # each once raised ZeroDivisionError out of main
+        # each once raised ZeroDivisionError out of main, or (time-1e-320)
+        # blamed d2omega_t for the overflow of the closed-form variance
         command = text[1:text.index("]")]
         rc, summary = run(tmp_path, command, text)
         assert rc == 1

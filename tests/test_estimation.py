@@ -1,6 +1,7 @@
 """Optimal times, closed forms, fitting, the stencil, and error bars."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -281,6 +282,14 @@ class TestClosedForms:
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError):
             sensitivity_closed_form(ProbeSpec("ghz", 2, 1.0), Quadratic(1.0), 0.0)
+
+    @pytest.mark.parametrize("t, information", [(50.0, "0.0"), (1e-320, "1e-320")])
+    def test_variance_out_of_float_range_names_its_cause(self, t, information):
+        # the information underflows to 0, or its reciprocal overflows
+        with pytest.raises(ValueError, match=re.escape(
+                f"t V0^2 exp(-2 m gamma(t)) is {information} at V0 = 1.0, "
+                f"t = {t!r}, so the variance, its reciprocal, is not finite")):
+            sensitivity_closed_form(ProbeSpec("ghz", 1, 1.0), Quadratic(1.0), t)
 
     def test_fisher_identity_exact(self):
         model = Quadratic(1.0)
