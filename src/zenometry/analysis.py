@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .decay import DecayModel
 from .estimation import optimal_time, sensitivity_closed_form
 from .probes import ProbeSpec

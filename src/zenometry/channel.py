@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
+from ._numpy import np
 from .tables import read_table
 
 __all__ = [

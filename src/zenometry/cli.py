@@ -22,8 +22,7 @@ import sys
 from itertools import repeat
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .analysis import noise_sweep, reference_bounds, relative_resolution, scaling_fit
 from .channel import GaussianMode, load_bd_calibration, overlap_gaussian
 from . import config

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .tables import read_table
 
 __all__ = ["DecayModel", "Markovian", "Quadratic", "Tabulated"]

@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._numpy import np
 from .decay import DecayModel
 from .fringes import FringeDataset, estimates_from_counts
 from .probes import ProbeSpec

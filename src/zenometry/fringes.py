@@ -6,8 +6,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .tables import convert_cell, read_table, write_table
 
 __all__ = ["FringeDataset", "estimates_from_counts"]

@@ -19,8 +19,7 @@ import mmap
 import sys
 from dataclasses import InitVar, dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .decay import DecayModel
 from .fringes import _STRATEGIES, FringeDataset, estimates_from_counts
 from .rng import FRINGE_SETTINGS, StreamFamily

@@ -10,16 +10,13 @@ until the next ``at()`` call on that family.
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 # Domain tags keep streams for different purposes disjoint under one seed.
 FRINGE_SETTINGS = 1
 MONTE_CARLO_TRIALS = 2
 
 _INDEX_BITS = 48
-
-# Counter and buffer words of a fresh ``Philox``; the state setter copies them.
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
 
 def _key(seed: int, domain: int, index: int) -> np.ndarray:
@@ -62,14 +59,17 @@ class StreamFamily:
         self._domain = domain
         self._bit_generator = np.random.Philox(key=_key(seed, domain, 0))
         self._generator = np.random.Generator(self._bit_generator)
+        # Counter and buffer words of a fresh ``Philox``; the state setter
+        # copies them.
+        self._zero_words = np.zeros(4, dtype=np.uint64)
 
     def at(self, index: int) -> np.random.Generator:
         """The family's generator, rekeyed to stream ``index``."""
         self._bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": _ZERO_WORDS,
+            "state": {"counter": self._zero_words,
                       "key": _key(self._seed, self._domain, index)},
-            "buffer": _ZERO_WORDS,
+            "buffer": self._zero_words,
             "buffer_pos": 4,  # past the last word: nothing buffered
             "has_uint32": 0,
             "uinteger": 0,

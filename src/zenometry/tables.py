@@ -22,7 +22,7 @@ import csv
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
+from ._numpy import np
 
 # Rows formatted and written per chunk: enough to amortise the per-column
 # type dispatch, few enough that a chunk's strings stay small.  On a
@@ -31,13 +31,23 @@ _CHUNK_ROWS = 1024
 
 
 def _format_cell(value) -> str:
+    # Python types first: a Python cell never reads ``np``, so never
+    # imports numpy, and a numpy scalar exists only once numpy is loaded.
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, str):
+        return str(value)
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if isinstance(value, np.integer):
+        return str(int(value))
+    if isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
 

@@ -587,6 +587,14 @@ class TestThetaGrid:
         assert grid.tolist() == np.linspace(0.0, math.pi, 7).tolist()
 
 
+def run_fresh(tmp_path, *args):
+    """Run ``python *args`` in a fresh interpreter that imports this tree."""
+    src = str(Path(zenometry.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestRuntimeDependencies:
     def test_cli_paths_do_not_import_scipy(self, tmp_path):
         script = textwrap.dedent(f"""
@@ -600,33 +608,52 @@ class TestRuntimeDependencies:
                 assert rc == 0, argv
             assert "scipy" not in sys.modules, "scipy was imported"
         """)
-        src = str(Path(zenometry.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=120)
+        proc = run_fresh(tmp_path, "-c", script)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "fringe" / "summary.json").is_file()
 
+    def test_closed_form_commands_do_not_import_numpy(self, tmp_path):
+        # numpy is imported on the first array operation, and these two
+        # commands make none
+        script = textwrap.dedent(f"""
+            import sys
+            import zenometry, zenometry.cli
+            out = {str(tmp_path)!r}
+            for command in ("channel-calibration", "noise-sweep"):
+                rc = zenometry.cli.main([command, "--out", f"{{out}}/{{command}}"])
+                assert rc == 0, command
+            assert "numpy" not in sys.modules, "numpy was imported"
+            rc = zenometry.cli.main(["fringe", "--mode", "analytic",
+                                     "--out", f"{{out}}/fringe"])
+            assert rc == 0, "fringe"
+            assert "numpy" in sys.modules
+        """)
+        proc = run_fresh(tmp_path, "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        for command in ("channel-calibration", "noise-sweep", "fringe"):
+            assert (tmp_path / command / "summary.json").is_file()
+
 
 class TestBenchmarkTracer:
-    def test_traced_montecarlo_scaling(self, tmp_path):
-        # the benchmark's per-layer tracer wraps library functions by name;
-        # an API change that breaks it fails here
+    # the benchmark's per-layer tracer wraps library functions by name; an
+    # API change that breaks it fails here
+
+    def trace(self, tmp_path, command, config_text):
         root = Path(__file__).resolve().parent.parent
         config = tmp_path / "exp.ini"
-        config.write_text(
+        config.write_text(config_text)
+        spans = tmp_path / "spans.json"
+        proc = run_fresh(tmp_path, str(root / "perfbench" / "tracer.py"),
+                         str(spans), "cli", command, "--config", str(config),
+                         "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(spans.read_text())
+
+    def test_traced_montecarlo_scaling(self, tmp_path):
+        trace = self.trace(
+            tmp_path, "scaling",
             "[scaling]\nn_values = 1..3\nmode = montecarlo\nseed = 5\n"
             "shots_per_setting = 10000\ntrials = 100\n")
-        spans = tmp_path / "spans.json"
-        src = str(Path(zenometry.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans),
-             "cli", "scaling", "--config", str(config), "--out",
-             str(tmp_path / "out")],
-            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        trace = json.loads(spans.read_text())
         expected = {"probes.settings_sampled": 3 * 25,
                     "estimation.bootstrap_trials": 2 * 3 * 100,
                     "estimation.bootstrap_failed_trials": 0}
@@ -635,6 +662,14 @@ class TestBenchmarkTracer:
         assert {"cli.main", "probes.sample_fringe",
                 "estimation.sensitivity_from_fringe",
                 "estimation.monte_carlo_errorbar"} <= names
+
+    def test_traced_noise_sweep(self, tmp_path):
+        # the tracer installs on a package that has not loaded numpy yet
+        trace = self.trace(tmp_path, "noise-sweep",
+                           "[noise-sweep]\nn_max = 50\n")
+        names = {span[0] for span in trace["spans"]}
+        assert {"cli.main", "analysis.noise_sweep",
+                "analysis.reference_bounds"} <= names
 
 
 class TestErrorPaths:

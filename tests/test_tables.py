@@ -1,5 +1,6 @@
 """The one table format, as every reader of it sees it."""
 
+import enum
 import math
 
 import numpy as np
@@ -94,6 +95,35 @@ def test_writer_cells_round_trip(tmp_path):
     meta, rows = read_table(path, header, (float, float, int, str, str, str, str))
     assert meta == {"seed": "42", "visibility": ""}
     assert rows == [(0.1 + 0.2, 1e-300, 7, "true", "false", "", "ghz")]
+
+
+class _Level(enum.IntEnum):
+    TWO = 2
+
+
+# One cell of each type the writer meets, and its text: the Python types are
+# tested before the numpy ones, and neither order changes a text.
+@pytest.mark.parametrize("cell, text", [
+    (None, ""),
+    ("ghz", "ghz"),
+    (np.str_("ghz"), "ghz"),
+    (True, "true"),
+    (False, "false"),
+    (np.bool_(True), "true"),
+    (np.bool_(False), "false"),
+    (-7, "-7"),
+    (np.int64(-7), "-7"),
+    (np.int64(2**62), "4611686018427387904"),
+    (_Level.TWO, "2"),
+    (0.1, "0.1"),
+    (-0.0, "-0.0"),
+    (math.inf, "inf"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.float64(0.1), "0.1"),
+    (np.float64(1e-320), "1e-320"),
+], ids=repr)
+def test_format_cell_text(cell, text):
+    assert _format_cell(cell) == text
 
 
 def per_row_reference(comments, header, rows) -> str:
