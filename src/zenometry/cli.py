@@ -10,6 +10,9 @@ byte-identical.
 
 Exit codes: 0 on success, 2 for configuration/validation problems, 1 for
 runtime failures.
+
+Threads: unless ``OPENBLAS_NUM_THREADS`` is set, or numpy is already loaded,
+``main`` starts numpy with one OpenBLAS thread.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -351,6 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # every BLAS product the commands make is the 2x2 Gram matrix of a (k x 2)
+    # design, so a second OpenBLAS thread gets no work and only spins
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, overrides={

@@ -587,11 +587,15 @@ class TestThetaGrid:
         assert grid.tolist() == np.linspace(0.0, math.pi, 7).tolist()
 
 
-def run_fresh(tmp_path, *args):
-    """Run ``python *args`` in a fresh interpreter that imports this tree."""
+def run_fresh(tmp_path, *args, **env):
+    """Run ``python *args`` in a fresh interpreter that imports this tree.
+
+    Keyword arguments set variables of its environment; ``None`` unsets one.
+    """
     src = str(Path(zenometry.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, **env}
     return subprocess.run([sys.executable, *args], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": src},
+                          env={k: v for k, v in env.items() if v is not None},
                           capture_output=True, text=True, timeout=120)
 
 
@@ -632,6 +636,37 @@ class TestRuntimeDependencies:
         assert proc.returncode == 0, proc.stderr
         for command in ("channel-calibration", "noise-sweep", "fringe"):
             assert (tmp_path / command / "summary.json").is_file()
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_cli_starts_numpy_with_one_blas_thread(self, tmp_path, preset):
+        # main fills OPENBLAS_NUM_THREADS only where the user left it unset,
+        # and importing the package leaves it alone
+        script = textwrap.dedent(f"""
+            import os, sys
+            import zenometry, zenometry.cli
+            assert "numpy" not in sys.modules
+            assert os.environ.get("OPENBLAS_NUM_THREADS") == {preset!r}
+            rc = zenometry.cli.main(["fringe", "--mode", "analytic",
+                                     "--out", {str(tmp_path / "out")!r}])
+            assert rc == 0, "fringe"
+            assert os.environ["OPENBLAS_NUM_THREADS"] == {preset or "1"!r}
+            if {preset is None} and sys.platform.startswith("linux"):
+                threads = len(os.listdir("/proc/self/task"))
+                assert threads == 1, f"{{threads}} threads"
+        """)
+        proc = run_fresh(tmp_path, "-c", script, OPENBLAS_NUM_THREADS=preset)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "summary.json").is_file()
+
+    def test_loaded_numpy_leaves_the_environment_alone(self, tmp_path,
+                                                       monkeypatch):
+        # numpy has read the variable already, so setting it here would do
+        # nothing but leak into this session and its later children
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert "numpy" in sys.modules
+        rc, _ = run(tmp_path, "fringe", extra=["--mode", "analytic"])
+        assert rc == 0
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 class TestBenchmarkTracer:
