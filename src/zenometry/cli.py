@@ -48,10 +48,8 @@ from .probes import (
     ProbeSpec,
     WhiteNoiseGhzParams,
     fidelity_bound,
-    ghz_density_matrix,
     sample_fringe,
     synthetic_fringe,
-    witness_expectation,
     witness_from_settings,
 )
 from .tables import format_column, write_table
@@ -286,9 +284,8 @@ def _run_witness(cfg: config.WitnessConfig, out: Path) -> dict:
         rows.append((None, "settings", w, fidelity_bound(w)))
     else:
         for n in cfg.n_values:
-            # No name holds the state, so it is freed before the next N's.
-            w = witness_expectation(ghz_density_matrix(
-                WhiteNoiseGhzParams(n, cfg.fusion_visibility)))
+            # the dense oracle's value, read from its closed form
+            w = WhiteNoiseGhzParams(n, cfg.fusion_visibility).witness
             rows.append((n, "oracle", w, fidelity_bound(w)))
     write_table(out / "witness.csv", comments,
                 ("N", "source", "w_value", "fidelity_bound"), rows)

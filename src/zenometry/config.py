@@ -229,6 +229,7 @@ class WitnessConfig(_Qubits):
                      "give witness_value, the three setting values, or fusion_visibility")
             if any(n < 2 for n in self.n_values):
                 fail("n_values", "the witness needs at least 2 qubits")
+            # kept: `oracle` rows name the dense oracle the closed form is pinned to
             if any(n > ORACLE_MAX_QUBITS for n in self.n_values):
                 fail("n_values", "the dense-matrix oracle holds at most "
                      f"{ORACLE_MAX_QUBITS} qubits")

@@ -100,6 +100,22 @@ class WhiteNoiseGhzParams:
         """Visibility of the N-qubit parity fringe: ``v**(N/2)``."""
         return self.fusion_visibility ** (self.n_qubits / 2.0)
 
+    @property
+    def witness(self) -> float:
+        """``witness_expectation(ghz_density_matrix(self))`` without the state.
+
+        The state has parity ``V`` and corner populations ``c = (1 - V) /
+        2**N + V / 2``; the sums run in the dense route's order, so the two
+        agree by ``repr``.  ``ldexp`` keeps ``c`` finite where ``2**N``
+        overflows a float (N >= 1024).
+        """
+        n = self.n_qubits
+        if n < 2:
+            raise ValueError("the witness is undefined for a single qubit")
+        v = self.parity_visibility
+        c = math.ldexp(1.0 - v, -n) + 0.5 * v
+        return 3.0 - ((0.5 * v + 0.5 * v) + 1.0) - 2.0 * (c + c)
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:

@@ -54,10 +54,13 @@ FISHER_MEASURED = (0.2884, 0.3861, 0.3861, 0.4480, 0.4393, 0.4774)
 SQL_FISHER = 1.0 / (2.0 * math.sqrt(math.e))
 
 
+def _verdict(label: str, ok: bool, detail: str) -> None:
+    print(f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}")
+    assert ok, f"{label}: {detail}"
+
+
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
-    verdict = "PASS" if ok else "FAIL"
-    print(f"[{verdict}] criterion {num:02d} {name}: {detail}")
-    assert ok, f"criterion {num:02d} {name}: {detail}"
+    _verdict(f"criterion {num:02d} {name}", ok, detail)
 
 
 def _grid(n: int) -> np.ndarray:
@@ -304,3 +307,66 @@ def test_12_cli_determinism(tmp_path):
     _report(12, "cli-determinism", ok,
             "reruns byte-identical for fringe, scaling, compare-markovian"
             if ok else f"mismatches: {mismatches}")
+
+
+# The Markovian-to-Zeno crossover through one tabulated channel (checks beside
+# the numbered criteria).  Ornstein-Uhlenbeck dephasing,
+# gamma(t) = c tau^2 (t/tau - 1 + exp(-t/tau)), is c t^2 / 2 for t << tau and
+# c tau (t - tau) for t >> tau, so a GHZ probe at its own optimum goes from the
+# Markovian tie, d2omegaT ~ 1/N, toward the Zeno N^-3/2 as t_opt falls below
+# tau.  The knots are log-spaced, so each segment spans the fraction
+# OU_SPACING of its start.  gamma is convex with t gamma'' <= gamma', so a
+# segment's slope is gamma' to within that fraction, which bounds the relative
+# error of the table's optimal time; at the optimum, where 2 N t gamma' = 1,
+# the interpolation raises 2 N gamma, and so ln d2omegaT, by at most
+# OU_SPACING^2 / 8.
+OU_C, OU_TAU = 1.0, 0.05
+OU_KNOTS = np.geomspace(1e-5, 400.0, 4000)
+OU_SPACING = float(OU_KNOTS[1] / OU_KNOTS[0]) - 1.0
+OU_N = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)
+
+
+def _ou_gamma(t):
+    x = np.asarray(t, dtype=float) / OU_TAU
+    return OU_C * OU_TAU**2 * (x + np.expm1(-x))
+
+
+def _ou_table() -> Tabulated:
+    return Tabulated(zip(OU_KNOTS.tolist(), _ou_gamma(OU_KNOTS).tolist()))
+
+
+def test_crossover_slope_runs_from_markovian_to_zeno():
+    start = perf_counter()
+    table = _ou_table()
+    d2 = [sensitivity_closed_form(ProbeSpec("ghz", n, 1.0), table,
+                                  table.optimal_time(n)) for n in OU_N]
+    slopes = np.diff(np.log(d2)) / np.diff(np.log(OU_N))
+    # each end's ln d2omegaT is off by at most OU_SPACING^2 / 8
+    tol = OU_SPACING**2 / 8.0 / float(np.min(np.diff(np.log(OU_N))))
+    inside = bool(np.all((-1.5 - tol <= slopes) & (slopes <= -1.0 + tol)))
+    falling = bool(np.all(np.diff(slopes) < -2.0 * tol))
+    elapsed = perf_counter() - start
+    _verdict("crossover slope", inside and falling and elapsed < 2.0,
+             f"local slopes {slopes[0]:.4f} (N = 1..2) to {slopes[-1]:.4f} "
+             f"(N = 512..1000), in [-1.5, -1] +- {tol:.1e}: {inside}, "
+             f"falling: {falling}, {elapsed:.2f}s (< 2s)")
+
+
+def test_crossover_optimal_time_matches_a_dense_scan():
+    start = perf_counter()
+    table = _ou_table()
+    # relative spacing 1e-5, far below the knots'
+    t = np.geomspace(OU_KNOTS[0], OU_KNOTS[-1],
+                     round(math.log(OU_KNOTS[-1] / OU_KNOTS[0]) / 1e-5) + 1)
+    scan_spacing = float(t[1] / t[0]) - 1.0
+    log_t, gamma = np.log(t), _ou_gamma(t)
+    worst = 0.0
+    for n in OU_N:
+        # argmax of t exp(-2 N gamma(t)), taken on its logarithm
+        best = float(t[np.argmax(log_t - 2.0 * n * gamma)])
+        worst = max(worst, abs(table.optimal_time(n) / best - 1.0))
+    tol = OU_SPACING + scan_spacing
+    elapsed = perf_counter() - start
+    _verdict("crossover optimal time", worst <= tol and elapsed < 2.0,
+             f"max relative gap to the scan {worst:.1e} (limit {tol:.1e}) "
+             f"over N = {OU_N[0]}..{OU_N[-1]}, {elapsed:.2f}s (< 2s)")

@@ -444,11 +444,10 @@ class TestWitness:
         _, _, rows = read_csv(tmp_path / "out" / "witness.csv")
         assert [r["source"] for r in rows] == ["oracle"] * 3
         for row in rows:
-            n = int(row["N"])
-            v = 0.9 ** (n / 2.0)
-            expected = 2.0 - 3.0 * v - 2.0 ** (2 - n) * (1.0 - v)
-            assert float(row["w_value"]) == pytest.approx(expected,
-                                                          abs=1e-12)
+            # the closed form the command reads is the dense oracle's value
+            state = zenometry.ghz_density_matrix(
+                zenometry.WhiteNoiseGhzParams(int(row["N"]), 0.9))
+            assert float(row["w_value"]) == zenometry.witness_expectation(state)
 
     def test_no_source_rejected(self, tmp_path):
         rc, _ = run(tmp_path, "witness", "[witness]\nseed = 1\n")
@@ -617,14 +616,20 @@ class TestRuntimeDependencies:
         assert (tmp_path / "fringe" / "summary.json").is_file()
 
     def test_closed_form_commands_do_not_import_numpy(self, tmp_path):
-        # numpy is imported on the first array operation, and these two
+        # numpy is imported on the first array operation, and these three
         # commands make none
+        witness_ini = tmp_path / "witness.ini"
+        witness_ini.write_text(
+            "[witness]\nfusion_visibility = 0.95\nn_values = 2..12\n")
         script = textwrap.dedent(f"""
             import sys
             import zenometry, zenometry.cli
             out = {str(tmp_path)!r}
-            for command in ("channel-calibration", "noise-sweep"):
-                rc = zenometry.cli.main([command, "--out", f"{{out}}/{{command}}"])
+            for command, config in (("channel-calibration", []),
+                                    ("noise-sweep", []),
+                                    ("witness", ["--config", {str(witness_ini)!r}])):
+                rc = zenometry.cli.main([command, "--out", f"{{out}}/{{command}}",
+                                         *config])
                 assert rc == 0, command
             assert "numpy" not in sys.modules, "numpy was imported"
             rc = zenometry.cli.main(["fringe", "--mode", "analytic",
@@ -634,7 +639,7 @@ class TestRuntimeDependencies:
         """)
         proc = run_fresh(tmp_path, "-c", script)
         assert proc.returncode == 0, proc.stderr
-        for command in ("channel-calibration", "noise-sweep", "fringe"):
+        for command in ("channel-calibration", "noise-sweep", "witness", "fringe"):
             assert (tmp_path / command / "summary.json").is_file()
 
     @pytest.mark.parametrize("preset", [None, "2"])

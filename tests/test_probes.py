@@ -600,6 +600,12 @@ class TestSampling:
         assert np.all(data.stderr == 0.0)
 
 
+# Fusion visibilities the closed-form witness is pinned at: both ends, the
+# smallest subnormal, a tiny normal, typical values, and a seeded handful.
+PIN_VISIBILITIES = (0.0, 5e-324, 1e-300, 0.1, 0.5, 0.9, 0.95, 0.999999, 1.0,
+                    *np.random.default_rng(20260816).random(4).tolist())
+
+
 class TestWitness:
     def test_perfect_ghz_reaches_floor(self):
         for n in range(2, 7):
@@ -617,14 +623,36 @@ class TestWitness:
                 assert witness_expectation(dm) == pytest.approx(
                     expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, probes.ORACLE_MAX_QUBITS + 1))
+    def test_closed_form_property_is_the_oracle_to_the_bit(self, n):
+        # the witness command reads the property, so its rows are the dense
+        # oracle's values exactly
+        for v in PIN_VISIBILITIES:
+            params = WhiteNoiseGhzParams(n, v)
+            dense = witness_expectation(ghz_density_matrix(params))
+            assert repr(params.witness) == repr(dense), v
+
+    @pytest.mark.parametrize("n", [1024, 2000])
+    def test_closed_form_property_past_the_float_range_of_2_to_the_n(self, n):
+        # 2.0**n overflows from n = 1024; the property tends to 2 - 3 V
+        for v in (0.0, 0.5, 0.999, 1.0):
+            params = WhiteNoiseGhzParams(n, v)
+            w = params.witness
+            assert math.isfinite(w)
+            assert w == pytest.approx(2.0 - 3.0 * params.parity_visibility,
+                                      abs=1e-15)
+
     def test_value_is_a_python_float(self):
         dm = ghz_density_matrix(WhiteNoiseGhzParams(4, 0.9))
         assert type(witness_expectation(dm)) is float
+        assert type(WhiteNoiseGhzParams(4, 0.9).witness) is float
 
     def test_single_qubit_unsupported(self):
         dm = ghz_density_matrix(WhiteNoiseGhzParams(1, 1.0))
         with pytest.raises(ValueError):
             witness_expectation(dm)
+        with pytest.raises(ValueError):
+            WhiteNoiseGhzParams(1, 1.0).witness
 
     def test_from_settings(self):
         assert witness_from_settings(1.0, 0.5, 0.5) == pytest.approx(-1.0)
