@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import sys
 from dataclasses import InitVar, dataclass
 
 from ._numpy import np
@@ -44,9 +43,9 @@ __all__ = [
 # Dense states are exact but exponential in N: 4096x4096, 256 MiB, at the cap.
 # ghz_density_matrix builds its state on demand-zero pages of a POSIX private
 # anonymous mapping, so only the pages under the diagonal (16 MiB at the cap)
-# become resident; on Linux it maps the rest to the shared zero page in one
-# call before validation reads them.  evolve_oracle's evolved copy is fully
-# resident.  README gives the measured time and memory budget.
+# become resident; validation reads the rest from the kernel's shared zero
+# page.  evolve_oracle's evolved copy is fully resident.  README gives the
+# measured time and memory budget.
 ORACLE_MAX_QUBITS = 12
 
 
@@ -123,9 +122,8 @@ class DensityMatrix:
 
     The constructor checks the input's shape and the qubit cap, and only
     then copies it, so an input over the cap is refused before any copy.
-    It checks the copy for unit trace and Hermiticity to 1e-12; the
-    Hermiticity check compares in full only the row blocks with a set bit
-    off their diagonal square, and its answer is the full comparison's.
+    It checks the copy for unit trace and Hermiticity to 1e-12, comparing
+    every pair of entries one block of rows at a time.
     Positivity is not verified here because it needs a full
     eigendecomposition; call :meth:`min_eigenvalue` when that check
     matters.  ``_owned=True`` is for arrays built inside this module that no
@@ -172,64 +170,29 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-# Entries per row block of the Hermiticity check: its two buffers stay near
-# 1 MiB whatever the matrix size.
-_CHECK_BLOCK = 1 << 16
-
-
-def _any_bit(a: np.ndarray) -> bool:
-    """Whether any entry of ``a`` has a set bit, counted on its ``uint64``
-    view in place.  ``count_nonzero`` reads a strided view without the
-    64 KiB buffer that a ``max`` reduction takes.  An empty ``a`` has none."""
-    return np.count_nonzero(a.view(np.uint64)) != 0
+# Entries per row block of the Hermiticity check: a block's temporaries peak
+# near 192 KiB whatever the matrix size.  Larger blocks raise the peak RSS of
+# small oracle runs: 1 << 16 read 1 MiB more than this on an N = 6..9 run.
+_CHECK_BLOCK = 1 << 12
 
 
 def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     """``max |m - m^dagger| <= tol``, checked one block of rows at a time.
 
     Block ``i:j`` compares rows ``i:j`` with columns ``i:j`` on and right of
-    the diagonal, which covers every pair once.  The block's columns are
-    first gathered, conjugated, into a contiguous slab, and the differences
-    are taken in the slab's layout.  The slab and the moduli of the
-    differences live in two buffers allocated once per call and reused for
-    every block, so no temporary grows with the matrix.  A NaN entry fails
-    the check.
-
-    Before that comparison, the two rectangles off the block's diagonal
-    square, ``m[i:j, j:]`` and ``m[j:, i:j]``, are tested for a set bit on
-    their ``uint64`` views: the contiguous one first, after a probe of the
-    first ``j - i`` entries of its first row, so that a dense block costs
-    a scan of those entries only.  When both are all-clear, every pair in
-    them differs by exactly 0, and only the square is compared.  Any set
-    bit (a value, ``-0.0``, NaN, +-inf) sends the whole block through the
-    comparison, so the result is exactly the one of the comparison over
-    all pairs.  The side of ``m`` must be a power of two, so that the block
-    height divides it, and its rows contiguous.
+    the diagonal, which covers every pair once.  The conjugate is taken of
+    the contiguous rows: on the strided columns numpy takes it through an
+    extra buffer as large as the result.  A NaN entry fails the check.  The
+    side of ``m`` must be a power of two, so that the block height divides
+    it.
     """
     dim = m.shape[0]
     rows = min(dim, max(1, _CHECK_BLOCK // dim))
-    slab = np.empty((dim, rows), dtype=m.dtype)
-    dev = np.empty((dim, rows))
     for i in range(0, dim, rows):
         j = i + rows
-        end = dim if (_any_bit(m[i, j:j + rows]) or _any_bit(m[i:j, j:])
-                      or _any_bit(m[j:, i:j])) else j
-        cols = np.conjugate(m[i:end, i:j], out=slab[i:end])
-        np.subtract(m[i:j, i:end].T, cols, out=cols)
-        if not np.abs(cols, out=dev[i:end]).max() <= tol:
+        if not np.abs(m[i:j, i:].conj() - m[i:, i:j].T).max() <= tol:
             return False
     return True
-
-
-def _populate_read(buf: mmap.mmap) -> None:
-    """Map every page of ``buf`` for reading with one ``madvise`` call.
-
-    ``MADV_POPULATE_READ`` (Linux 5.14 and later) is 22 in
-    ``asm-generic/mman-common.h``; Python 3.11's ``mmap`` does not name it.
-    On a private anonymous mapping it maps each untouched page to the
-    kernel's shared zero page and allocates nothing.
-    """
-    buf.madvise(getattr(mmap, "MADV_POPULATE_READ", 22))
 
 
 def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
@@ -241,13 +204,10 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
     The state lives on demand-zero pages of a POSIX private anonymous
     mapping, advised against transparent huge pages: only the pages that hold
     the diagonal become resident (16 MiB of the 256 MiB matrix at N = 12),
-    and the validation's bit scan reads every other entry from the kernel's
-    shared zero page.  Off the diagonal and the two corners every entry is
-    zero, so only the first row block is compared in full.  On Linux the
-    mapping is populated from the zero page in one call before validation,
-    which then takes no page fault per page; where the kernel refuses the
-    advice, the validation faults the pages in itself and the state is the
-    same.
+    and the Hermiticity check reads every other entry from the kernel's
+    shared zero page.  ``np.zeros`` would give the same values, but numpy
+    asks for transparent huge pages on large arrays, and a diagonal write
+    there makes a whole 2 MiB page resident.
     """
     n = params.n_qubits
     if n > ORACLE_MAX_QUBITS:
@@ -270,11 +230,6 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
     rho[-1, -1] += 0.5 * v
     rho[0, -1] += 0.5 * v
     rho[-1, 0] += 0.5 * v
-    if sys.platform.startswith("linux"):
-        try:
-            _populate_read(buf)
-        except OSError:
-            pass  # EINVAL before Linux 5.14
     return DensityMatrix(rho, _owned=True)
 
 

@@ -326,23 +326,35 @@ OU_SPACING = float(OU_KNOTS[1] / OU_KNOTS[0]) - 1.0
 OU_N = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)
 
 
-def _ou_gamma(t):
-    x = np.asarray(t, dtype=float) / OU_TAU
-    return OU_C * OU_TAU**2 * (x + np.expm1(-x))
+def _ou_gamma(t, tau=OU_TAU):
+    x = np.asarray(t, dtype=float) / tau
+    return OU_C * tau**2 * (x + np.expm1(-x))
 
 
-def _ou_table() -> Tabulated:
-    return Tabulated(zip(OU_KNOTS.tolist(), _ou_gamma(OU_KNOTS).tolist()))
+def _ou_table(tau=OU_TAU, knots=OU_KNOTS) -> Tabulated:
+    return Tabulated(zip(knots.tolist(), _ou_gamma(knots, tau).tolist()))
+
+
+def _ou_slopes(table: Tabulated) -> np.ndarray:
+    """Log-log slopes of the GHZ d2omegaT between successive OU_N, each N at
+    its own optimum."""
+    d2 = [sensitivity_closed_form(ProbeSpec("ghz", n, 1.0), table,
+                                  table.optimal_time(n)) for n in OU_N]
+    return np.diff(np.log(d2)) / np.diff(np.log(OU_N))
+
+
+def _knot_tolerance(knots: np.ndarray) -> float:
+    """Each end's ln d2omegaT is off by at most spacing^2 / 8, with the same
+    sign, so a slope between successive OU_N is off by at most that over the
+    smallest step in ln N."""
+    spacing = float(knots[1] / knots[0]) - 1.0
+    return spacing**2 / 8.0 / float(np.min(np.diff(np.log(OU_N))))
 
 
 def test_crossover_slope_runs_from_markovian_to_zeno():
     start = perf_counter()
-    table = _ou_table()
-    d2 = [sensitivity_closed_form(ProbeSpec("ghz", n, 1.0), table,
-                                  table.optimal_time(n)) for n in OU_N]
-    slopes = np.diff(np.log(d2)) / np.diff(np.log(OU_N))
-    # each end's ln d2omegaT is off by at most OU_SPACING^2 / 8
-    tol = OU_SPACING**2 / 8.0 / float(np.min(np.diff(np.log(OU_N))))
+    slopes = _ou_slopes(_ou_table())
+    tol = _knot_tolerance(OU_KNOTS)
     inside = bool(np.all((-1.5 - tol <= slopes) & (slopes <= -1.0 + tol)))
     falling = bool(np.all(np.diff(slopes) < -2.0 * tol))
     elapsed = perf_counter() - start
@@ -370,3 +382,49 @@ def test_crossover_optimal_time_matches_a_dense_scan():
     _verdict("crossover optimal time", worst <= tol and elapsed < 2.0,
              f"max relative gap to the scan {worst:.1e} (limit {tol:.1e}) "
              f"over N = {OU_N[0]}..{OU_N[-1]}, {elapsed:.2f}s (< 2s)")
+
+
+# The two ends of the crossover, each on knots log-spaced in t / tau over a
+# range that holds every OU_N's optimum at both taus.  By the envelope
+# theorem the local slope d ln d2omegaT / d ln N at the optimum is
+# -2 + 2 N gamma(t_opt).  With u = t_opt / tau and k = N c tau^2, the optimum
+# 2 N t gamma'(t) = 1 reads 2 k u (1 - e^-u) = 1, and 2 N gamma(t_opt) is
+# g(u) = 1 / (1 - e^-u) - 1 / u, which rises from 1/2 to 1 with u.  u falls
+# as N rises, so the slope falls with N, and a slope between two Ns lies
+# between their local slopes.
+OU_LIMIT_X = np.geomspace(1e-7, 1e9, 4000)
+
+
+def test_crossover_slope_tends_to_markovian_as_tau_shrinks():
+    # tau -> 0, u -> oo: 1 - g(u) <= 1 / u = 2 k (1 - e^-u) <= 2 k, so each
+    # slope lies in [-1 - 2 N c tau^2, -1], N the larger of its pair.
+    start = perf_counter()
+    tau = 1e-4
+    slopes = _ou_slopes(_ou_table(tau, tau * OU_LIMIT_X))
+    knots = _knot_tolerance(OU_LIMIT_X)
+    lower = -1.0 - 2.0 * np.array(OU_N[1:]) * OU_C * tau**2 - knots
+    ok = bool(np.all((lower <= slopes) & (slopes <= -1.0 + knots)))
+    elapsed = perf_counter() - start
+    _verdict("crossover Markovian limit", ok and elapsed < 2.0,
+             f"tau = {tau:g}: slopes {slopes[0] + 1.0:.1e} (N = 1..2) to "
+             f"{slopes[-1] + 1.0:.1e} (N = 512..1000) from -1, in "
+             f"[{lower[-1] + 1.0:.1e}, {knots:.1e}]: {ok}, {elapsed:.2f}s (< 2s)")
+
+
+def test_crossover_slope_tends_to_zeno_as_tau_grows():
+    # tau -> oo, u -> 0: 1/2 <= g(u) <= 1/2 + u / 12 (g = 1/2 + u/12 - u^3/720
+    # + ...), and u <= u0 (1 + u0) with u0 = (2 k)^-1/2 while u0 <= 1/2, so
+    # each slope lies in [-3/2, -3/2 + u0 (1 + u0) / 12], N the smaller of
+    # its pair.
+    start = perf_counter()
+    tau = 1e3
+    slopes = _ou_slopes(_ou_table(tau, tau * OU_LIMIT_X))
+    knots = _knot_tolerance(OU_LIMIT_X)
+    u0 = 1.0 / np.sqrt(2.0 * np.array(OU_N[:-1]) * OU_C * tau**2)
+    upper = -1.5 + u0 * (1.0 + u0) / 12.0 + knots
+    ok = bool(np.all((-1.5 - knots <= slopes) & (slopes <= upper)))
+    elapsed = perf_counter() - start
+    _verdict("crossover Zeno limit", ok and elapsed < 2.0,
+             f"tau = {tau:g}: slopes {slopes[0] + 1.5:.1e} (N = 1..2) to "
+             f"{slopes[-1] + 1.5:.1e} (N = 512..1000) from -3/2, in "
+             f"[{-knots:.1e}, {upper[0] + 1.5:.1e}]: {ok}, {elapsed:.2f}s (< 2s)")
