@@ -13,7 +13,6 @@ from .probes import ProbeSpec
 __all__ = [
     "ScalingFit",
     "ReferenceBounds",
-    "NoiseSweepRow",
     "NoiseSweepResult",
     "scaling_fit",
     "reference_bounds",
@@ -137,31 +136,16 @@ def relative_resolution(n: int, model_nm: DecayModel, model_m: DecayModel) -> fl
 
 
 @dataclass(frozen=True)
-class NoiseSweepRow:
-    n: int
-    d2omega_t_ghz: float
-    bound_sql: float
-    beats_sql: bool
-
-
-@dataclass(frozen=True)
 class NoiseSweepResult:
-    """One visibility's sweep, held as columns with one entry per N.
+    """One visibility's sweep: columns with one entry per N, in given order.
 
-    ``rows`` builds the same table as one ``NoiseSweepRow`` per N, for
-    callers that read it row by row.
+    The N and SQL columns they line up with are ``.n_values`` and ``.sql`` of
+    ``reference_bounds(ns, gamma_coefficient)``.
     """
 
-    n_values: tuple[int, ...]
     d2omega_t_ghz: tuple[float, ...]
-    bound_sql: tuple[float, ...]
     beats_sql: tuple[bool, ...]
     crossing: int | None
-
-    @property
-    def rows(self) -> tuple[NoiseSweepRow, ...]:
-        return tuple(map(NoiseSweepRow, self.n_values, self.d2omega_t_ghz,
-                         self.bound_sql, self.beats_sql))
 
 
 def noise_sweep(fusion_visibility: float, n_values,
@@ -170,12 +154,12 @@ def noise_sweep(fusion_visibility: float, n_values,
 
     The fusion-diluted GHZ probe at the Zeno optimum reaches
     ``2 sqrt(e c) / (N**1.5 v**N)``; it beats the SQL ``2 sqrt(e c) / N``
-    exactly when ``sqrt(N) v**N > 1``.  The result holds one column per
-    quantity, computed N by N in Python floats, so at v = 1 the GHZ column
-    equals ``reference_bounds(...).zl`` exactly.  ``crossing`` is the largest
-    qubit number that still beats the SQL (None when the advantage never
-    appears, or never disappears as for v = 1).  Underflow of ``v**N``
-    reports an infinite variance rather than an error.
+    exactly when ``sqrt(N) v**N > 1``.  The result holds the GHZ column and
+    its ``beats_sql`` flags, computed N by N in Python floats, so at v = 1 the
+    GHZ column equals ``reference_bounds(...).zl`` exactly.  ``crossing`` is
+    the largest qubit number that still beats the SQL (None when the
+    advantage never appears, or never disappears as for v = 1).  Underflow
+    of ``v**N`` reports an infinite variance rather than an error.
 
     ``n_values`` may also be the ``ReferenceBounds`` that
     ``reference_bounds(ns, gamma_coefficient)`` returned; N values are made
@@ -195,9 +179,7 @@ def noise_sweep(fusion_visibility: float, n_values,
     d2 = tuple(anchor / denominator if denominator > 0.0 else math.inf
                for denominator in (n**1.5 * v**n for n in ns))
     return NoiseSweepResult(
-        n_values=ns,
         d2omega_t_ghz=d2,
-        bound_sql=sql,
         beats_sql=tuple(map(float.__lt__, d2, sql)),
         crossing=advantage_crossing(v),
     )

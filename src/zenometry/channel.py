@@ -26,7 +26,6 @@ from .tables import read_table
 __all__ = [
     "GaussianMode",
     "TabulatedMode",
-    "BdPairGeometry",
     "CalibrationRow",
     "displacement_from_thickness",
     "overlap_gaussian",
@@ -131,25 +130,6 @@ class TabulatedMode:
             raise ValueError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class BdPairGeometry:
-    """One displacer pair, described by the per-displacer shift ``d``.
-
-    The two components end up separated by ``x0 = sqrt(2) * d`` because the
-    pair displaces along orthogonal transverse directions.
-    """
-
-    per_bd_displacement: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.per_bd_displacement) or self.per_bd_displacement < 0.0:
-            raise ValueError("per-displacer displacement must be >= 0")
-
-    @property
-    def total_separation(self) -> float:
-        return math.sqrt(2.0) * self.per_bd_displacement
-
-
 def displacement_from_thickness(thickness_mm: float) -> float:
     """Total separation ``x0`` produced by a displacer of given thickness."""
     thickness_mm = float(thickness_mm)
@@ -213,15 +193,21 @@ def measured_visibility(intensity_plus: float, intensity_minus: float) -> float:
 
 @dataclass(frozen=True)
 class CalibrationRow:
-    """One measured calibration point of the displacer channel."""
+    """One measured calibration point of the displacer channel.
+
+    Each displacer of the pair shifts by ``d = per_bd_displacement``, along
+    orthogonal transverse directions, so the two components end up separated
+    by ``total_separation = sqrt(2) * d``.
+    """
 
     per_bd_displacement: float
     intensity_plus: float
     intensity_minus: float
 
     def __post_init__(self) -> None:
-        # the geometry and the visibility each validate their inputs
-        BdPairGeometry(self.per_bd_displacement)
+        d = self.per_bd_displacement
+        if not math.isfinite(d) or d < 0.0:
+            raise ValueError("per-displacer displacement must be >= 0")
         measured_visibility(self.intensity_plus, self.intensity_minus)
 
     @property
@@ -229,8 +215,8 @@ class CalibrationRow:
         return measured_visibility(self.intensity_plus, self.intensity_minus)
 
     @property
-    def geometry(self) -> BdPairGeometry:
-        return BdPairGeometry(self.per_bd_displacement)
+    def total_separation(self) -> float:
+        return math.sqrt(2.0) * self.per_bd_displacement
 
 
 _CALIBRATION_HEADER = ("per_bd_displacement_mm", "intensity_plus", "intensity_minus")

@@ -302,7 +302,7 @@ def _run_channel_calibration(cfg: config.CalibrationConfig, out: Path) -> dict:
     rows = []
     worst = 0.0
     for entry in table:
-        x0 = entry.geometry.total_separation
+        x0 = entry.total_separation
         predicted = overlap_gaussian(x0, mode)
         measured = entry.measured_visibility
         residual = predicted - measured

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 from ._numpy import np
 from .decay import DecayModel
@@ -53,7 +54,8 @@ class FitError(RuntimeError):
 
     The fit is a linear least-squares problem with a global optimum, so it
     fails only when its normal equations are singular, or when the fitted
-    amplitude is zero and the covariance of ``(A, phi)`` is singular.
+    amplitude is zero or so small that the covariance of ``(A, phi)`` is
+    singular or overflows.
     """
 
 
@@ -187,10 +189,10 @@ _FAILURES = (
 )
 
 
-def _raise_failure(code: int) -> None:
+def _raise_failure(code: int) -> NoReturn:
     """Raise the error of a nonzero read-out failure code."""
     _, kind, message = _FAILURES[code]
-    raise kind(message)
+    raise kind(message) from None
 
 
 def _fit_rows(theta: np.ndarray, estimate: np.ndarray, stderr: np.ndarray,
@@ -251,8 +253,8 @@ def fit_fringe(data: FringeDataset) -> FitResult:
     ``A = hypot(c, s) >= 0`` and ``phi = atan2(s, c)`` in (-pi, pi]; the
     covariance is the inverse of the Jacobian normal matrix at those
     parameters, scaled by the residual variance in the unweighted case.
-    Raises :class:`FitError` when the normal equations or the covariance are
-    singular.
+    Raises :class:`FitError` when the normal equations are singular, or the
+    covariance is singular or not finite.
     """
     m = data.fringe_frequency
     amplitudes, phases, weighted_rows, weights, failures = _fit_rows(
@@ -274,7 +276,10 @@ def fit_fringe(data: FringeDataset) -> FitResult:
     try:
         covariance = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
-        raise FitError("covariance is singular at the solution") from None
+        _raise_failure(4)
+    # a tiny amplitude overflows the inverse before hess is singular
+    if not np.isfinite(covariance).all():
+        _raise_failure(4)
     if not weighted:
         dof = theta.size - 2
         covariance = covariance * (float(np.sum(residuals**2)) / dof)

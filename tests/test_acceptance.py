@@ -218,7 +218,7 @@ def test_09_bd_calibration():
     mode = GaussianMode(1.05)
     worst_residual = 0.0
     for row in load_bd_calibration():
-        predicted = overlap_gaussian(row.geometry.total_separation, mode)
+        predicted = overlap_gaussian(row.total_separation, mode)
         worst_residual = max(worst_residual,
                              abs(predicted - row.measured_visibility))
     profile = TabulatedMode.gaussian(mode)
@@ -252,8 +252,7 @@ def test_11_noise_sweep_crossing():
     ns = list(range(1, 1001))
     ideal = noise_sweep(1.0, ns)
     zeno = reference_bounds(ns, 1.0).zl
-    ideal_exact = all(row.d2omega_t_ghz == zl
-                      for row, zl in zip(ideal.rows, zeno))
+    ideal_exact = ideal.d2omega_t_ghz == zeno
 
     def margin(x: float) -> float:
         return 0.5 * math.log(x) + x * math.log(0.99)
@@ -267,7 +266,8 @@ def test_11_noise_sweep_crossing():
         sweep = noise_sweep(v, ns)
         boundary = sweep.crossing
         lost = lost and boundary is not None and all(
-            not row.beats_sql for row in sweep.rows if row.n > boundary)
+            not beats for n, beats in zip(ns, sweep.beats_sql, strict=True)
+            if n > boundary)
     elapsed = perf_counter() - start
     ok = ideal_exact and crossing_ok and lost and elapsed < 5.0
     _report(11, "noise-sweep", ok,
@@ -382,6 +382,38 @@ def test_crossover_optimal_time_matches_a_dense_scan():
     _verdict("crossover optimal time", worst <= tol and elapsed < 2.0,
              f"max relative gap to the scan {worst:.1e} (limit {tol:.1e}) "
              f"over N = {OU_N[0]}..{OU_N[-1]}, {elapsed:.2f}s (< 2s)")
+
+
+def test_crossover_through_the_cli_tabulated_route(tmp_path):
+    # The same table, written as a t,gamma CSV by repr (so it loads back
+    # exactly) and run through `scaling --mode analytic`: the CLI's only
+    # route to the tabulated model.
+    start = perf_counter()
+    table = _ou_table()
+    csv = tmp_path / "ou.csv"
+    csv.write_text("t,gamma\n" + "".join(f"{t!r},{g!r}\n"
+                                         for t, g in table.samples))
+    ns = (1, 2, 4, 8, 16)
+    ini = tmp_path / "scaling.ini"
+    ini.write_text(f"[scaling]\nmode = analytic\nmodel_kind = tabulated\n"
+                   f"model_csv = {csv}\nn_values = {', '.join(map(str, ns))}\n")
+    out = tmp_path / "out"
+    assert main(["scaling", "--config", str(ini), "--out", str(out)]) == 0
+    lines = [line for line in (out / "resolution_raw.csv").read_text()
+             .splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    got = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    expected = [repr(sensitivity_closed_form(ProbeSpec("ghz", n, 1.0), table,
+                                             table.optimal_time(n)))
+                for n in ns]
+    exact = ([int(r["N"]) for r in got] == list(ns)
+             and [r["d2omegaT"] for r in got] == expected)
+    slope = json.loads((out / "summary.json").read_text())["slope_raw"]["slope"]
+    elapsed = perf_counter() - start
+    _verdict("crossover via the CLI",
+             exact and -1.5 <= slope <= -1.0 and elapsed < 5.0,
+             f"d2omegaT equal to the closed form by repr: {exact}, slope_raw "
+             f"{slope:.4f} in [-1.5, -1], {elapsed:.2f}s (< 5s)")
 
 
 # The two ends of the crossover, each on knots log-spaced in t / tau over a

@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 
 from zenometry import (
     Markovian,
-    NoiseSweepRow,
     Quadratic,
     ReferenceBounds,
     advantage_crossing,
@@ -19,6 +18,7 @@ from zenometry import (
     relative_resolution,
     scaling_fit,
 )
+from zenometry import analysis
 
 ANCHOR = 2.0 * math.sqrt(math.e)
 
@@ -124,15 +124,15 @@ class TestRelativeResolution:
 
 
 def per_row_sweep(v, ns, c=1.0):
-    """The rows ``noise_sweep`` built one N at a time before it held columns."""
+    """``(N, d2omega_t_ghz, bound_sql, beats_sql)`` computed one N at a time."""
     anchor = 2.0 * math.sqrt(math.e * c)
     rows = []
     for n in ns:
         sql = anchor / n
         denominator = n**1.5 * v**n
         d2 = anchor / denominator if denominator > 0.0 else math.inf
-        rows.append(NoiseSweepRow(n, d2, sql, d2 < sql))
-    return tuple(rows)
+        rows.append((n, d2, sql, d2 < sql))
+    return rows
 
 
 class TestNoiseSweep:
@@ -142,33 +142,33 @@ class TestNoiseSweep:
     def test_columns_match_per_row_reference(self, v, c):
         ns = range(1, 401)
         sweep = noise_sweep(v, ns, c)
+        bounds = reference_bounds(ns, c)
         expected = per_row_sweep(v, ns, c)
-        assert sweep.rows == expected
-        assert sweep.n_values == tuple(r.n for r in expected)
-        assert sweep.d2omega_t_ghz == tuple(r.d2omega_t_ghz for r in expected)
-        assert sweep.bound_sql == tuple(r.bound_sql for r in expected)
-        assert sweep.beats_sql == tuple(r.beats_sql for r in expected)
+        assert list(zip(bounds.n_values, sweep.d2omega_t_ghz, bounds.sql,
+                        sweep.beats_sql, strict=True)) == expected
         # exact types, so the table writer takes its one-type column paths
-        assert {type(x) for x in sweep.n_values} == {int}
-        assert {type(x) for x in sweep.d2omega_t_ghz + sweep.bound_sql} \
-            == {float}
+        assert {type(x) for x in bounds.n_values} == {int}
+        assert {type(x) for x in bounds.sql} == {float}
+        assert {type(x) for x in sweep.d2omega_t_ghz} == {float}
         assert {type(x) for x in sweep.beats_sql} == {bool}
         if v == 0.1:
             assert math.isinf(sweep.d2omega_t_ghz[-1])
         if v == 1.0:
-            zl = reference_bounds(ns, 1.0).zl
-            assert all(d2 == z for d2, z in zip(sweep.d2omega_t_ghz, zl,
-                                                strict=True))
+            assert all(d2 == z for d2, z in zip(sweep.d2omega_t_ghz,
+                                                bounds.zl, strict=True))
 
     @pytest.mark.parametrize("v, c", [(0.1, 1.0), (0.9, 0.7), (1.0, 1.0)])
-    def test_reference_bounds_give_the_same_sweep(self, v, c):
+    def test_reference_bounds_give_the_same_sweep(self, v, c, monkeypatch):
         ns = range(1, 401)
         bounds = reference_bounds(ns, c)
-        sweep = noise_sweep(v, bounds, c)
-        assert sweep == noise_sweep(v, ns, c)
-        # the shared columns are reused, not rebuilt
-        assert sweep.n_values is bounds.n_values
-        assert sweep.bound_sql is bounds.sql
+        expected = noise_sweep(v, ns, c)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the given bounds were rebuilt")
+
+        # the given N and SQL columns are read, not built again
+        monkeypatch.setattr(analysis, "reference_bounds", rebuilt)
+        assert noise_sweep(v, bounds, c) == expected
 
     def test_mismatched_reference_bounds_rejected(self):
         bounds = reference_bounds(range(1, 10), 0.7)
@@ -182,38 +182,31 @@ class TestNoiseSweep:
     def test_ideal_visibility_reproduces_zeno_bound(self):
         ns = list(range(1, 51))
         sweep = noise_sweep(1.0, ns)
-        bounds = reference_bounds(ns, 1.0)
-        for row, zl in zip(sweep.rows, bounds.zl):
-            assert row.d2omega_t_ghz == zl
+        assert sweep.d2omega_t_ghz == reference_bounds(ns, 1.0).zl
         assert sweep.crossing is None
 
     def test_degraded_value(self):
         sweep = noise_sweep(0.9, [6])
         expected = ANCHOR / (6**1.5 * 0.9**6)
-        assert sweep.rows[0].d2omega_t_ghz == pytest.approx(expected,
-                                                            rel=1e-12)
+        assert sweep.d2omega_t_ghz[0] == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_visibility(self):
         ns = [2, 4, 8]
-        values = []
-        for v in (0.8, 0.9, 0.95, 1.0):
-            sweep = noise_sweep(v, ns)
-            values.append([row.d2omega_t_ghz for row in sweep.rows])
-        arr = np.array(values)
+        arr = np.array([noise_sweep(v, ns).d2omega_t_ghz
+                        for v in (0.8, 0.9, 0.95, 1.0)])
         assert np.all(np.diff(arr, axis=0) < 0.0)
 
     def test_beats_flag_matches_margin(self):
+        ns = list(range(1, 200))
         for v in (0.9, 0.99):
-            sweep = noise_sweep(v, list(range(1, 200)))
-            for row in sweep.rows:
-                margin = math.sqrt(row.n) * v**row.n
-                assert row.beats_sql == (margin > 1.0)
+            sweep = noise_sweep(v, ns)
+            assert sweep.beats_sql == tuple(math.sqrt(n) * v**n > 1.0
+                                            for n in ns)
 
     def test_underflow_is_harmless(self):
         sweep = noise_sweep(0.1, list(range(1, 400)))
-        tail = sweep.rows[-1]
-        assert math.isinf(tail.d2omega_t_ghz)
-        assert not tail.beats_sql
+        assert math.isinf(sweep.d2omega_t_ghz[-1])
+        assert not sweep.beats_sql[-1]
         assert sweep.crossing is None or sweep.crossing < 10
 
 
@@ -252,8 +245,8 @@ class TestAdvantageCrossing:
     def test_consistent_with_sweep_flags(self):
         v = 0.99
         n_star = advantage_crossing(v)
-        sweep = noise_sweep(v, list(range(1, 1001)))
-        beats = {row.n: row.beats_sql for row in sweep.rows}
+        ns = range(1, 1001)
+        beats = dict(zip(ns, noise_sweep(v, ns).beats_sql, strict=True))
         assert beats[n_star]
         assert all(not beats[n] for n in range(n_star + 1, 1001))
         assert beats[2]

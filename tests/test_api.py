@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     # decay
     "DecayModel", "Markovian", "Quadratic", "Tabulated",
     # channel
-    "GaussianMode", "TabulatedMode", "BdPairGeometry", "CalibrationRow",
+    "GaussianMode", "TabulatedMode", "CalibrationRow",
     "displacement_from_thickness", "overlap_gaussian", "overlap_numeric",
     "effective_time", "measured_visibility", "load_bd_calibration",
     # probes
@@ -34,7 +34,7 @@ PUBLIC_NAMES = {
     "stencil_derivative", "sensitivity_from_fringe",
     "monte_carlo_errorbar", "apply_monte_carlo_errors", "noise_subtract",
     # analysis
-    "ScalingFit", "ReferenceBounds", "NoiseSweepRow", "NoiseSweepResult",
+    "ScalingFit", "ReferenceBounds", "NoiseSweepResult",
     "scaling_fit", "reference_bounds", "relative_resolution", "noise_sweep",
     "advantage_crossing",
     # config
@@ -44,7 +44,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned_and_listed_once():
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 59
     assert sorted(zenometry.__all__) == sorted(PUBLIC_NAMES)
 
 

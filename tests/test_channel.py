@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import simpson
 
 from zenometry import (
-    BdPairGeometry,
+    CalibrationRow,
     GaussianMode,
     Quadratic,
     TabulatedMode,
@@ -111,12 +111,14 @@ class TestGeometry:
         assert displacement_from_thickness(0.0) == 0.0
 
     def test_pair_separation_exact(self):
-        geom = BdPairGeometry(0.74)
-        assert geom.total_separation == math.sqrt(2.0) * 0.74
+        row = CalibrationRow(0.74, 4.0, 0.1)
+        assert row.total_separation == math.sqrt(2.0) * 0.74
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            BdPairGeometry(-0.1)
+        for d in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="per-displacer displacement must be >= 0"):
+                CalibrationRow(d, 4.0, 0.1)
         with pytest.raises(ValueError):
             displacement_from_thickness(-1.0)
         with pytest.raises(ValueError):
@@ -146,7 +148,7 @@ class TestCalibrationTable:
     def test_predictions_track_measurements(self):
         rows = load_bd_calibration()
         for row in rows:
-            pred = overlap_gaussian(row.geometry.total_separation, MODE)
+            pred = overlap_gaussian(row.total_separation, MODE)
             assert abs(pred - row.measured_visibility) <= 0.05
 
     def test_visibility_arithmetic(self):

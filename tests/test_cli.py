@@ -335,9 +335,10 @@ class TestNoiseSweep:
         rows = []
         for v in (0.99, 0.9995, 1.0):
             sweep = noise_sweep(v, range(1, 5001), 0.7)
-            bounds = reference_bounds([r.n for r in sweep.rows], 0.7)
-            rows += [(v, r.n, r.d2omega_t_ghz, r.bound_sql, hl, r.beats_sql)
-                     for r, hl in zip(sweep.rows, bounds.hl)]
+            bounds = reference_bounds(range(1, 5001), 0.7)
+            rows += [(v, *row) for row in zip(
+                bounds.n_values, sweep.d2omega_t_ghz, bounds.sql, bounds.hl,
+                sweep.beats_sql, strict=True)]
         expected = per_row_reference(
             [("config_sha256", config_hash(cfg, "noise-sweep"))],
             ("fusion_visibility", "N", "d2omegaT_ghz", "bound_sql",
@@ -402,7 +403,7 @@ class TestNoiseSweep:
         # The benchmark's table: 4 x 25000 rows, 8.3 MB.  The peak read
         # 14.0 MiB with one visibility's columns alive at a time and the
         # rows streamed to the writer; 19.5 MiB with all four sweeps held,
-        # 23.3 MiB with one NoiseSweepRow and one tuple per row, and
+        # 23.3 MiB with one row object and one tuple per row, and
         # 26.7 MiB with the streamed rows collected into a list first.
         text = ("[noise-sweep]\nfusion_visibilities = 0.99, 0.999, 0.9999, "
                 "1.0\nn_max = 25000\n")
@@ -728,10 +729,13 @@ class TestErrorPaths:
         "[scaling]\ninterrogation_time = 1e300\n",
         "[scaling]\nvisibilities = 1e-300\n",
         "[scaling]\ninterrogation_time = 1e-320\n",
-    ], ids=["time-50", "time-1e300", "visibility-1e-300", "time-1e-320"])
+        "[fringe]\nvisibilities = 1e-160\n",
+    ], ids=["time-50", "time-1e300", "visibility-1e-300", "time-1e-320",
+            "fringe-visibility-1e-160"])
     def test_underflow_is_one_error_line(self, tmp_path, capsys, text):
         # each once raised ZeroDivisionError out of main, or (time-1e-320)
-        # blamed d2omega_t for the overflow of the closed-form variance
+        # blamed d2omega_t for the overflow of the closed-form variance, or
+        # (fringe-visibility-1e-160) wrote a NaN amplitude stderr and exited 0
         command = text[1:text.index("]")]
         rc, summary = run(tmp_path, command, text)
         assert rc == 1

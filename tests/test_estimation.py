@@ -380,9 +380,11 @@ class TestFit:
             assert fit.amplitude == pytest.approx(amplitude, abs=1e-12)
             assert fit.phase == pytest.approx(phase, abs=1e-12)
 
-    def test_all_zero_fringe_has_singular_covariance(self):
+    # 1e-160 overflows the inverse of the Jacobian normal matrix to inf
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-160])
+    def test_all_zero_fringe_has_singular_covariance(self, amplitude):
         with pytest.raises(FitError, match="covariance is singular"):
-            fit_fringe(planted_fringe(3, 0.0, 0.0))
+            fit_fringe(planted_fringe(3, amplitude, 0.0))
 
     @settings(max_examples=200, deadline=None)
     @given(amplitude=st.floats(0.01, 1.0),

@@ -83,10 +83,6 @@ def assert_check_matches_naive(m, tol, expected, n):
         assert probes._is_hermitian(m, tol) is expected, n
 
 
-def random_diagonal_op(rng):
-    return np.diag(rng.normal(size=2) + 1j * rng.normal(size=2))
-
-
 def embed(op, qubit, n):
     """``I (x) .. (x) op (x) .. (x) I`` with ``op`` on ``qubit`` (0 leftmost)."""
     return np.kron(np.kron(np.eye(2**qubit), op), np.eye(2 ** (n - qubit - 1)))
@@ -351,29 +347,24 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_diagonal_pass_matches_explicit_kron(self, n):
-        # The pass multiplies by a factor on one qubit's bits, so this is what
-        # pins the qubit order and the row/column roles.
+        # The pass multiplies by a factor on one qubit's bits; the explicit
+        # Kraus sum, embedded qubit by qubit, pins the row/column roles (the
+        # phase's sign at omega != 0) and that every qubit's bits are reached.
         rng = np.random.default_rng(21)
-        rho = random_state(rng, n).matrix
+        state = random_state(rng, n)
+        model = Quadratic(0.9)
+        omega = float(rng.uniform(0.5, 3.0))
+        t = 0.7
+        f = model.coherence_factor(t)
+        phase = np.diag([np.exp(-0.5j * omega * t), np.exp(0.5j * omega * t)])
+        kraus = [math.sqrt((1.0 + f) / 2.0) * phase,
+                 math.sqrt((1.0 - f) / 2.0) * np.diag([1.0, -1.0]) @ phase]
+        expected = state.matrix
         for q in range(n):
-            ops = [random_diagonal_op(rng) for _ in range(3)]
-            bigs = [embed(op, q, n) for op in ops]
-            terms = [big @ rho @ big.conj().T for big in bigs]
-            for k in (1, 2, 3):
-                got = rho.copy()
-                probes._apply_diagonal_kraus(got, ops[:k], (q,))
-                np.testing.assert_allclose(got, sum(terms[:k]), rtol=0,
-                                           atol=1e-13)
-
-    def test_non_diagonal_kraus_op_rejected(self):
-        rho = np.eye(4, dtype=complex) / 4
-        op = np.diag([1.0, -1.0]).astype(complex)
-        for entry in ((0, 1), (1, 0)):
-            bad = op.copy()
-            bad[entry] = 1e-300
-            with pytest.raises(ValueError, match="diagonal"):
-                probes._apply_diagonal_kraus(rho, (np.eye(2), bad), (0,))
-        assert np.array_equal(rho, np.eye(4) / 4)
+            bigs = [embed(op, q, n) for op in kraus]
+            expected = sum(big @ expected @ big.conj().T for big in bigs)
+        got = evolve_oracle(state, model, omega, t).matrix
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
     def test_input_left_unchanged_and_read_only(self):
         state = random_state(np.random.default_rng(4), 4)
