@@ -122,7 +122,7 @@ def _run_fringe(cfg: config.FringeConfig, out: Path) -> dict:
     model = _decay_model(cfg)
     # The dataset writes its own derived '# seed=' row.
     comments = [("config_sha256", config_hash(cfg, "fringe"))]
-    per_n = {}
+    per_n, fringes = {}, []
     for position, n in enumerate(cfg.n_values):
         spec = ProbeSpec(cfg.strategy, n, _visibility_for(cfg, position))
         t = _interrogation_time(cfg, spec, model)
@@ -131,8 +131,8 @@ def _run_fringe(cfg: config.FringeConfig, out: Path) -> dict:
         else:
             data = synthetic_fringe(spec, model, t,
                                     _theta_grid(cfg, spec.fringe_frequency))
-        data.to_csv(out / f"fringe_n{n}.csv", extra_comments=comments)
         fit = fit_fringe(data)
+        fringes.append((n, data))
         per_n[str(n)] = {
             "interrogation_time": t,
             "visibility": spec.visibility,
@@ -140,6 +140,10 @@ def _run_fringe(cfg: config.FringeConfig, out: Path) -> dict:
             "phase": fit.phase,
             "amplitude_stderr": fit.amplitude_stderr,
         }
+    # every N is fitted before the first file is written, so a failed fit
+    # leaves no partial output
+    for n, data in fringes:
+        data.to_csv(out / f"fringe_n{n}.csv", extra_comments=comments)
     return {"per_n": per_n}
 
 

@@ -1,15 +1,19 @@
-"""The package's public names: each module's ``__all__``, republished once,
-and the names the benchmark's tracer looks up."""
+"""The package's public names: each module's ``__all__``, republished once
+and loaded on first use, and the names the benchmark's tracer looks up."""
 
 import importlib
 import importlib.util
+import json
 import math
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import zenometry
+
+from test_cli import run_fresh
 
 PUBLIC_NAMES = {
     "__version__",
@@ -47,6 +51,51 @@ def test_public_names_are_pinned_and_listed_once():
     assert len(PUBLIC_NAMES) == 59
     assert sorted(zenometry.__all__) == sorted(PUBLIC_NAMES)
 
+
+# what perfbench/oracle_driver.py reads from the package
+ORACLE_NAMES = ("Quadratic", "optimal_time", "ghz_density_matrix",
+                "WhiteNoiseGhzParams", "ProbeSpec", "evolve_oracle",
+                "parity_expectation_dm", "parity_expectation_analytic")
+
+
+def test_submodules_load_on_first_use(tmp_path):
+    # a fresh interpreter: this session has loaded every module already
+    script = textwrap.dedent(f"""
+        import json, sys
+        import zenometry
+
+        def loaded():
+            return sorted(name for name in sys.modules
+                          if name.startswith("zenometry.") or name == "hashlib")
+
+        report = {{"on_import": loaded()}}
+        for name in {ORACLE_NAMES!r}:
+            getattr(zenometry, name)
+        report["after_oracle_names"] = loaded()
+        report["probes_is_module"] = (
+            zenometry.probes is sys.modules["zenometry.probes"])
+        try:
+            zenometry.no_such_name
+        except AttributeError as exc:
+            report["unknown"] = str(exc)
+        namespace = {{}}
+        exec("from zenometry import *", namespace)
+        report["star"] = sorted(set(namespace) - {{"__builtins__"}})
+        report["dir"] = dir(zenometry)
+        print(json.dumps(report))
+    """)
+    proc = run_fresh(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["on_import"] == []
+    assert {"zenometry.decay", "zenometry.probes",
+            "zenometry.estimation"} <= set(report["after_oracle_names"])
+    assert not {"zenometry.config", "zenometry.channel", "zenometry.analysis",
+                "hashlib"} & set(report["after_oracle_names"])
+    assert report["probes_is_module"]
+    assert "'no_such_name'" in report["unknown"]
+    assert report["star"] == sorted(PUBLIC_NAMES)
+    assert PUBLIC_NAMES <= set(report["dir"])
 
 
 def _tracer():
@@ -96,3 +145,39 @@ def test_benchmark_tracer_contract():
         "estimation.fits_converged": 1,
         "probes.oracle_bytes": 16 * 4**2,
     }
+
+
+def test_tracer_wraps_names_the_package_resolves_later(tmp_path):
+    # the oracle driver reads its names from the package after the tracer
+    # has installed; each must resolve to the wrapped function
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    config = tmp_path / "oracle.ini"
+    config.write_text("[oracle]\nn_values = 2..3\nomegas = 0.0, 0.7\n"
+                      "fusion_visibility = 0.9\nmodel_coefficient = 1.0\n"
+                      "tolerance = 1e-12\n")
+    script = textwrap.dedent(f"""
+        import importlib.util, json, sys
+        from collections import Counter
+
+        def load(name):
+            spec = importlib.util.spec_from_file_location(
+                name, {str(root)!r} + "/" + name + ".py")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+
+        tracer = load("tracer").Tracer()
+        tracer.install()
+        import zenometry
+        assert "evolve_oracle" not in vars(zenometry)
+        rc = load("oracle_driver").main(
+            ["--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])
+        print(json.dumps({{"rc": rc,
+                          "spans": Counter(span[0] for span in tracer.spans)}}))
+    """)
+    proc = run_fresh(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["rc"] == 0
+    assert report["spans"]["probes.evolve_oracle"] == 4
+    assert report["spans"]["probes.DensityMatrix.__init__"] == 6

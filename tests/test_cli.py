@@ -735,11 +735,12 @@ class TestErrorPaths:
     def test_underflow_is_one_error_line(self, tmp_path, capsys, text):
         # each once raised ZeroDivisionError out of main, or (time-1e-320)
         # blamed d2omega_t for the overflow of the closed-form variance, or
-        # (fringe-visibility-1e-160) wrote a NaN amplitude stderr and exited 0
+        # (fringe-visibility-1e-160) wrote a NaN amplitude stderr and exited 0,
+        # and later wrote fringe_n1.csv before its fit failed
         command = text[1:text.index("]")]
-        rc, summary = run(tmp_path, command, text)
+        rc, _ = run(tmp_path, command, text)
         assert rc == 1
-        assert summary is None
+        assert list((tmp_path / "out").iterdir()) == []
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
