@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .decay import DecayModel
-from .estimation import optimal_time, sensitivity_closed_form
+from .estimation import _solve_normal, optimal_time, sensitivity_closed_form
 from .probes import ProbeSpec
 
 __all__ = [
@@ -29,7 +29,8 @@ class ScalingFit:
     slope: float
     intercept: float
     slope_stderr: float
-    residuals: np.ndarray
+    chi2: float  # weighted residual sum; unit weights when unweighted
+    dof: int  # points minus 2
 
 
 def scaling_fit(points) -> ScalingFit:
@@ -38,15 +39,17 @@ def scaling_fit(points) -> ScalingFit:
     ``points`` is an iterable of ``(N, value, stderr)``; stderrs propagate to
     log space as ``stderr / value`` and act as inverse-variance weights.  If
     any stderr is missing or zero the fit falls back to ordinary least
-    squares, with the slope error scaled by the residual variance (zero for
-    an exact power law).
+    squares, with the slope error scaled by ``chi2 / dof`` (zero for an exact
+    power law).  The normal equations in ``x = log(N)`` centred at its
+    weighted mean are solved in closed form, and are degenerate unless
+    ``det > eps * sum(w) * sum(w x**2)``.
     """
     pts = [(float(n), float(v), None if s is None else float(s))
            for n, v, s in points]
     if len(pts) < 3:
         raise ValueError("need at least three points for a scaling fit")
-    if any(n <= 0.0 or v <= 0.0 for n, v, _ in pts):
-        raise ValueError("N and value must be positive to take logs")
+    if not all(0.0 < n < math.inf and 0.0 < v < math.inf for n, v, _ in pts):
+        raise ValueError("N and value must be finite and positive to take logs")
     if any(s is not None and (not math.isfinite(s) or s < 0.0) for _, _, s in pts):
         raise ValueError("stderr values must be finite and non-negative")
     if len({n for n, _, _ in pts}) < 2:
@@ -54,30 +57,28 @@ def scaling_fit(points) -> ScalingFit:
     x = np.log([n for n, _, _ in pts])
     y = np.log([v for _, v, _ in pts])
     weighted = all(s is not None and s > 0.0 for _, _, s in pts)
-    if weighted:
-        sigma = np.array([s / v for _, v, s in pts])
-        w = 1.0 / sigma**2
-    else:
-        w = np.ones(len(pts))
-    design = np.column_stack((np.ones_like(x), x))
-    gram = design.T @ (design * w[:, None])
-    rhs = design.T @ (w * y)
-    try:
-        coeff = np.linalg.solve(gram, rhs)
-        cov = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        raise ValueError("degenerate N values; cannot fit a slope") from None
-    residuals = y - design @ coeff
-    if not weighted:
-        dof = len(pts) - 2
-        cov = cov * (float(np.sum(residuals**2)) / dof)
-    residuals.setflags(write=False)
-    return ScalingFit(
-        slope=float(coeff[1]),
-        intercept=float(coeff[0]),
-        slope_stderr=float(math.sqrt(max(cov[1, 1], 0.0))),
-        residuals=residuals,
-    )
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / np.array([s / v if weighted else 1.0 for _, v, s in pts])**2
+    if not np.isfinite(w).all():
+        raise ValueError("inverse-variance weights overflow")
+    # 2**-scale puts max(w) in [1, 2) and scales the normal equations exactly
+    scale = np.frexp(np.max(w))[1] - 1
+    w = np.ldexp(w, -scale)
+    # about the weighted mean of log(N) the normal equations are near diagonal
+    x0 = np.sum(w * x) / np.sum(w)
+    xc = x - x0
+    wx = w * xc
+    (level, slope), (_, _, v_bb), singular = _solve_normal(
+        np.sum(w), np.sum(wx), np.sum(wx * xc), np.sum(w * y), np.sum(wx * y))
+    if singular:
+        raise ValueError("degenerate N values; cannot fit a slope")
+    intercept = level - slope * x0
+    r = y - (level + slope * xc)
+    chi2 = float(np.ldexp(np.sum(w * r * r), scale))
+    dof = len(pts) - 2
+    variance = np.ldexp(v_bb, -scale) * (1.0 if weighted else chi2 / dof)
+    return ScalingFit(slope=float(slope), intercept=float(intercept),
+                      slope_stderr=math.sqrt(variance), chi2=chi2, dof=dof)
 
 
 @dataclass(frozen=True)

@@ -356,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # every BLAS product the commands make is the 2x2 Gram matrix of a (k x 2)
-    # design, so a second OpenBLAS thread gets no work and only spins
+    # OpenBLAS starts its thread pool when numpy loads, but no command makes a
+    # BLAS call, so a second thread would get no work and only spin
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)

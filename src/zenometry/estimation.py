@@ -165,7 +165,8 @@ class FitResult:
     amplitude: float
     phase: float
     covariance: np.ndarray
-    residuals: np.ndarray
+    chi2: float  # weighted residual sum; unit weights when unweighted
+    dof: int  # usable points minus 2
     iterations: int
     weighted: bool
 
@@ -195,15 +196,29 @@ def _raise_failure(code: int) -> NoReturn:
     raise kind(message) from None
 
 
+def _solve_normal(g_aa, g_ab, g_bb, b_a, b_b):
+    """Cramer's-rule solution ``x`` and inverse ``(v_aa, v_ab, v_bb)`` of
+    ``[[g_aa, g_ab], [g_ab, g_bb]] x = (b_a, b_b)``, elementwise on numpy
+    arrays or scalars, and the singular flag ``not det > eps * g_aa * g_bb``:
+    rounding alone moves det by about that much, so below it the columns are
+    collinear to working precision.  Singular entries are meaningless."""
+    det = g_aa * g_bb - g_ab * g_ab
+    singular = ~np.greater(det, np.finfo(float).eps * g_aa * g_bb)
+    with np.errstate(all="ignore"):
+        x = ((g_bb * b_a - g_ab * b_b) / det, (g_aa * b_b - g_ab * b_a) / det)
+        inverse = (g_bb / det, -g_ab / det, g_aa / det)
+    return x, inverse, singular
+
+
 def _fit_rows(theta: np.ndarray, estimate: np.ndarray, stderr: np.ndarray,
               m: int) -> tuple[np.ndarray, ...]:
     """Closed-form fit of ``A cos(m theta + phi)`` to every row at once.
 
     ``estimate`` and ``stderr`` have shape (rows, settings) over the shared
     grid ``theta``; a NaN estimate is missing.  The model equals
-    ``c cos(m theta) - s sin(m theta)``, so each row is a weighted linear
-    least-squares problem whose 2x2 normal equations are solved by Cramer's
-    rule.  Returns the canonical amplitude ``hypot(c, s)`` and phase
+    ``c cos(m theta) + s (-sin(m theta))``, so each row is a weighted linear
+    least-squares problem whose 2x2 normal equations :func:`_solve_normal`
+    solves.  Returns the canonical amplitude ``hypot(c, s)`` and phase
     ``atan2(s, c)`` in (-pi, pi], whether the row was weighted, its
     per-point weights (0 off the usable points), and its failure code (an
     index into ``_FAILURES``).  Parameters of failed rows are meaningless.
@@ -219,21 +234,13 @@ def _fit_rows(theta: np.ndarray, estimate: np.ndarray, stderr: np.ndarray,
                      0.0)
     y = np.where(usable, estimate, 0.0)
     cos = np.cos(m * theta)
-    sin = np.sin(m * theta)
+    nsin = -np.sin(m * theta)
     wc = w * cos
-    ws = w * sin
-    g_cc = np.sum(wc * cos, axis=1)
-    g_ss = np.sum(ws * sin, axis=1)
-    g_cs = np.sum(wc * sin, axis=1)
-    b_c = np.sum(wc * y, axis=1)
-    b_s = np.sum(ws * y, axis=1)
-    det = g_cc * g_ss - g_cs * g_cs
-    # Rounding alone moves det by about eps * g_cc * g_ss; below that the
-    # cosine and sine columns are collinear to working precision.
-    singular = ~(det > np.finfo(float).eps * g_cc * g_ss)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (g_ss * b_c - g_cs * b_s) / det
-        s = (g_cs * b_c - g_cc * b_s) / det
+    ws = w * nsin
+    (c, s), _, singular = _solve_normal(
+        np.sum(wc * cos, axis=1), np.sum(wc * nsin, axis=1),
+        np.sum(ws * nsin, axis=1), np.sum(wc * y, axis=1),
+        np.sum(ws * y, axis=1))
     amplitude = np.hypot(c, s)
     phase = np.arctan2(s, c)
     phase = np.where(phase <= -math.pi, math.pi, phase)
@@ -252,9 +259,9 @@ def fit_fringe(data: FringeDataset) -> FitResult:
     optimum, no iteration (``iterations`` is always 1).  The result is
     ``A = hypot(c, s) >= 0`` and ``phi = atan2(s, c)`` in (-pi, pi]; the
     covariance is the inverse of the Jacobian normal matrix at those
-    parameters, scaled by the residual variance in the unweighted case.
-    Raises :class:`FitError` when the normal equations are singular, or the
-    covariance is singular or not finite.
+    parameters, scaled by ``chi2 / dof`` in the unweighted case.  Raises
+    :class:`FitError` when either 2x2 normal matrix fails the singularity
+    test of :func:`_solve_normal`, or the covariance is not finite.
     """
     m = data.fringe_frequency
     amplitudes, phases, weighted_rows, weights, failures = _fit_rows(
@@ -266,33 +273,25 @@ def fit_fringe(data: FringeDataset) -> FitResult:
     weighted = bool(weighted_rows[0])
 
     mask = data.usable
-    theta = data.theta[mask]
-    y = data.estimate[mask]
     w = weights[0, mask]
-    arg = m * theta + phase
-    residuals = y - amplitude * np.cos(arg)
-    jac = np.column_stack((np.cos(arg), -amplitude * np.sin(arg)))
-    hess = jac.T @ (jac * w[:, None])
-    try:
-        covariance = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
+    arg = m * data.theta[mask] + phase
+    cos = np.cos(arg)
+    d_phase = -amplitude * np.sin(arg)
+    wc = w * cos
+    _, (v_aa, v_ab, v_bb), singular = _solve_normal(
+        np.sum(wc * cos), np.sum(wc * d_phase), np.sum(w * d_phase * d_phase),
+        0.0, 0.0)
+    covariance = np.array([[v_aa, v_ab], [v_ab, v_bb]])
+    # a tiny amplitude overflows the inverse before the test calls it singular
+    if singular or not np.isfinite(covariance).all():
         _raise_failure(4)
-    # a tiny amplitude overflows the inverse before hess is singular
-    if not np.isfinite(covariance).all():
-        _raise_failure(4)
-    if not weighted:
-        dof = theta.size - 2
-        covariance = covariance * (float(np.sum(residuals**2)) / dof)
+    residuals = data.estimate[mask] - amplitude * cos
+    chi2 = float(np.sum(w * residuals * residuals))
+    dof = residuals.size - 2
+    covariance *= 1.0 if weighted else chi2 / dof
     covariance.setflags(write=False)
-    residuals.setflags(write=False)
-    return FitResult(
-        amplitude=amplitude,
-        phase=phase,
-        covariance=covariance,
-        residuals=residuals,
-        iterations=1,
-        weighted=weighted,
-    )
+    return FitResult(amplitude=amplitude, phase=phase, covariance=covariance,
+                     chi2=chi2, dof=dof, iterations=1, weighted=weighted)
 
 
 def stencil_derivative(samples, h: float) -> float:

@@ -55,6 +55,59 @@ class TestScalingFit:
             scaling_fit([(2, 1.0, None), (2, 0.5, None), (2, 0.2, None)])
         with pytest.raises(ValueError, match="finite"):
             scaling_fit([(1, 1.0, 0.1), (2, 0.5, math.inf), (3, 0.2, 0.1)])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                scaling_fit([(1, 1.0, None), (bad, 0.5, None), (3, 0.2, None)])
+            with pytest.raises(ValueError, match="finite and positive"):
+                scaling_fit([(1, 1.0, 0.1), (2, bad, 0.1), (3, 0.2, 0.1)])
+
+    def test_overflowing_weights_refused(self):
+        # 1 / (1e-160)**2 overflows to inf
+        for stderr in (1e-160, 1e-200):
+            with pytest.raises(ValueError, match="weights overflow"):
+                scaling_fit([(1, 1.0, stderr), (2, 0.5, stderr), (3, 0.2, stderr)])
+
+    @pytest.mark.parametrize("power", [-330, 330])
+    def test_extreme_finite_weights_scale_exactly(self, power):
+        # weights near 1e200 or 1e-195 overflow or underflow the normal
+        # equations' determinant unless they are rescaled first
+        points = [(1, 2.0, 0.1), (2, 1.1, 0.03), (4, 0.48, 0.02), (8, 0.26, 0.01)]
+        base = scaling_fit(points)
+        scaled = scaling_fit([(n, v, math.ldexp(s, power)) for n, v, s in points])
+        assert (scaled.slope, scaled.intercept) == (base.slope, base.intercept)
+        assert scaled.slope_stderr == math.ldexp(base.slope_stderr, power)
+        assert scaled.chi2 == math.ldexp(base.chi2, -2 * power)
+
+    @pytest.mark.parametrize("errors", ["weighted", "unweighted", "mixed"])
+    def test_matches_linalg_reference(self, errors):
+        rng = np.random.default_rng(["weighted", "unweighted", "mixed"].index(errors))
+        for _ in range(50):
+            ns = np.sort(rng.choice(np.arange(1, 65), size=rng.integers(3, 12),
+                                    replace=False))
+            values = ANCHOR * ns ** rng.uniform(-2.0, -1.0) * np.exp(
+                rng.normal(0.0, 0.05, ns.size))
+            stderrs = [float(v) * rng.uniform(0.01, 0.1) for v in values]
+            if errors == "unweighted":
+                stderrs = [None] * ns.size
+            elif errors == "mixed":
+                stderrs[rng.integers(ns.size)] = rng.choice([None, 0.0])
+            fit = scaling_fit(zip(ns.tolist(), values.tolist(), stderrs))
+
+            x, y = np.log(ns), np.log(values)
+            w = (np.array([s / v for s, v in zip(stderrs, values)]) ** -2.0
+                 if errors == "weighted" else np.ones(ns.size))
+            design = np.column_stack((np.ones(ns.size), x))
+            root = np.sqrt(w)
+            (intercept, slope), chi2, _, _ = np.linalg.lstsq(
+                design * root[:, None], y * root, rcond=None)
+            cov = np.linalg.inv(design.T @ (design * w[:, None]))
+            if errors != "weighted":
+                cov *= chi2[0] / (ns.size - 2)
+            assert fit.slope == pytest.approx(slope, rel=1e-12)
+            assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+            assert fit.slope_stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-12)
+            assert fit.chi2 == pytest.approx(chi2[0], rel=1e-12)
+            assert fit.dof == ns.size - 2
 
     def test_incomplete_errors_fall_back_to_ols(self):
         points = [(1, 2.0, 0.1), (2, 1.1, None), (4, 0.48, 0.1), (8, 0.26, 0.1)]

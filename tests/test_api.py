@@ -1,6 +1,7 @@
 """The package's public names: each module's ``__all__``, republished once
 and loaded on first use, and the names the benchmark's tracer looks up."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -181,3 +182,44 @@ def test_tracer_wraps_names_the_package_resolves_later(tmp_path):
     assert report["rc"] == 0
     assert report["spans"]["probes.evolve_oracle"] == 4
     assert report["spans"]["probes.DensityMatrix.__init__"] == 6
+
+
+# numpy names that reach BLAS or LAPACK
+BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def _scoped_nodes(node, scope=""):
+    """Every node under ``node``, with the dotted name of its class or
+    function."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}".lstrip(".")
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
+
+
+def test_no_blas_call_outside_min_eigenvalue():
+    # Every fit solves its 2x2 normal equations in closed form, so no command
+    # makes a BLAS or LAPACK call.  The one numpy.linalg use is the library
+    # entry DensityMatrix.min_eigenvalue, which no command reaches.
+    found, allowed = [], []
+    for path in sorted(Path(zenometry.__file__).parent.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            where = (path.name, scope, getattr(node, "lineno", None))
+            if isinstance(getattr(node, "op", None), ast.MatMult):
+                found.append(where)
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                if (path.name, scope, node.attr) == (
+                        "probes.py", "DensityMatrix.min_eigenvalue", "linalg"):
+                    allowed.append(where)
+                else:
+                    found.append(where)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                if any(part in BLAS_NAMES for name in names
+                       for part in name.split(".")):
+                    found.append(where)
+    assert found == []
+    assert len(allowed) == 1

@@ -380,6 +380,36 @@ class TestFit:
             assert fit.amplitude == pytest.approx(amplitude, abs=1e-12)
             assert fit.phase == pytest.approx(phase, abs=1e-12)
 
+    def test_covariance_matches_linalg_reference(self):
+        model = Quadratic(1.0)
+        grid = np.linspace(0.0, math.pi, 25)
+        rng = np.random.default_rng(5)
+        sampled = [
+            sample_fringe(ProbeSpec("ghz", n, 0.9), model,
+                          optimal_time(model, n), grid, 100_000, seed=n)
+            for n in range(1, 7)
+        ]
+        noisy = []
+        for m in range(1, 7):
+            data = planted_fringe(m, rng.uniform(0.2, 1.0),
+                                  rng.uniform(-math.pi, math.pi))
+            noisy.append(data.replace(estimate=data.estimate + rng.normal(
+                0.0, 0.01, data.theta.size)))
+        for data in sampled + noisy:
+            fit = fit_fringe(data)
+            mask = data.usable
+            w = 1.0 / data.stderr[mask] ** 2 if fit.weighted else np.ones(mask.sum())
+            arg = data.fringe_frequency * data.theta[mask] + fit.phase
+            jac = np.column_stack((np.cos(arg), -fit.amplitude * np.sin(arg)))
+            expected = np.linalg.inv(jac.T @ (jac * w[:, None]))
+            residuals = data.estimate[mask] - fit.amplitude * np.cos(arg)
+            chi2 = float(np.sum(w * residuals**2))
+            if not fit.weighted:
+                expected *= chi2 / (mask.sum() - 2)
+            np.testing.assert_allclose(fit.covariance, expected, rtol=1e-12)
+            assert fit.chi2 == pytest.approx(chi2, rel=1e-12)
+            assert fit.dof == mask.sum() - 2
+
     # 1e-160 overflows the inverse of the Jacobian normal matrix to inf
     @pytest.mark.parametrize("amplitude", [0.0, 1e-160])
     def test_all_zero_fringe_has_singular_covariance(self, amplitude):
