@@ -41,11 +41,11 @@ __all__ = [
 ]
 
 # Dense states are exact but exponential in N: 4096x4096, 256 MiB, at the cap.
-# ghz_density_matrix builds its state on demand-zero pages of a POSIX private
-# anonymous mapping, so only the pages under the diagonal (16 MiB at the cap)
-# become resident; validation reads the rest from the kernel's shared zero
-# page.  evolve_oracle's evolved copy is fully resident.  README gives the
-# measured time and memory budget.
+# ghz_density_matrix and evolve_oracle build their states on demand-zero pages
+# of a POSIX private anonymous mapping and write only the nonzero entries, so
+# only the pages under those (16 MiB of a GHZ state at the cap) become
+# resident; validation reads the rest from the kernel's shared zero page.
+# README gives the measured time and memory budget.
 ORACLE_MAX_QUBITS = 12
 
 
@@ -172,7 +172,7 @@ class DensityMatrix:
 
 # Entries per row block of the Hermiticity check: a block's temporaries peak
 # near 192 KiB whatever the matrix size.  Larger blocks raise the peak RSS of
-# small oracle runs: 1 << 16 read 1 MiB more than this on an N = 6..9 run.
+# small oracle runs: 1 << 16 read 1.9 MiB more than this on an N = 6..9 run.
 _CHECK_BLOCK = 1 << 12
 
 
@@ -195,27 +195,15 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     return True
 
 
-def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
-    """White-noise GHZ state ``V |GHZ><GHZ| + (1 - V) I / 2**N``.
+def _zero_mapped(dim: int) -> np.ndarray:
+    """A writable C-ordered ``dim x dim`` complex zero matrix on demand-zero
+    pages of a POSIX private anonymous mapping.
 
-    The mixing weight is the parity visibility ``V = v**(N/2)``, so the
-    parity fringe of the returned state has amplitude exactly ``V``.
-
-    The state lives on demand-zero pages of a POSIX private anonymous
-    mapping, advised against transparent huge pages: only the pages that hold
-    the diagonal become resident (16 MiB of the 256 MiB matrix at N = 12),
-    and the Hermiticity check reads every other entry from the kernel's
-    shared zero page.  ``np.zeros`` would give the same values, but numpy
-    asks for transparent huge pages on large arrays, and a diagonal write
-    there makes a whole 2 MiB page resident.
+    A page becomes resident only when an entry on it is written; reads of
+    the others map the kernel's shared zero page.  ``np.zeros`` would give
+    the same values, but numpy asks for transparent huge pages on large
+    arrays, and one write there makes a whole 2 MiB page resident.
     """
-    n = params.n_qubits
-    if n > ORACLE_MAX_QUBITS:
-        raise CapacityError(
-            f"{n} qubits exceeds the dense-matrix capacity of {ORACLE_MAX_QUBITS}"
-        )
-    dim = 2**n
-    v = params.parity_visibility
     # MAP_PRIVATE, not mmap's default MAP_SHARED: a shared anonymous mapping
     # is shmem, whose read faults allocate pages.  A transparent huge page
     # would make each diagonal write fault in and zero 2 MiB; mmap defines
@@ -224,7 +212,28 @@ def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
                     flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-    rho = np.frombuffer(buf, dtype=complex).reshape(dim, dim)
+    return np.frombuffer(buf, dtype=complex).reshape(dim, dim)
+
+
+def ghz_density_matrix(params: WhiteNoiseGhzParams) -> DensityMatrix:
+    """White-noise GHZ state ``V |GHZ><GHZ| + (1 - V) I / 2**N``.
+
+    The mixing weight is the parity visibility ``V = v**(N/2)``, so the
+    parity fringe of the returned state has amplitude exactly ``V``.
+
+    The state lives on the zero-page mapping of :func:`_zero_mapped`: only
+    the pages that hold the diagonal become resident (16 MiB of the 256 MiB
+    matrix at N = 12), and the Hermiticity check reads every other entry
+    from the kernel's shared zero page.
+    """
+    n = params.n_qubits
+    if n > ORACLE_MAX_QUBITS:
+        raise CapacityError(
+            f"{n} qubits exceeds the dense-matrix capacity of {ORACLE_MAX_QUBITS}"
+        )
+    dim = 2**n
+    v = params.parity_visibility
+    rho = _zero_mapped(dim)
     np.fill_diagonal(rho, (1.0 - v) / dim)
     rho[0, 0] += 0.5 * v
     rho[-1, -1] += 0.5 * v
@@ -247,6 +256,17 @@ def evolve_oracle(dm: DensityMatrix, model: DecayModel, omega: float,
     and column bits: one element-wise multiply of the state's copy in place.
     Qubit 0 is the most significant bit of an index.  Deliberately built from
     the Kraus operators and independent of the closed-form fringe expressions.
+
+    Since every op is diagonal, an entry that starts at zero stays zero.  The
+    copy lives on the zero-page mapping of :func:`_zero_mapped`, and only the
+    input's nonzero entries are copied and multiplied, each by the same
+    factors in the same order as an unmasked pass.  So only the pages under
+    them become resident (a GHZ state's diagonal and corners), and a zero
+    entry, ``-0.0`` included, comes out ``+0.0``; an unmasked pass could turn
+    it into ``-0.0``, since ``0 * F`` has a real part of ``-0.0`` where
+    ``Re F < 0``.  The ``bool`` mask, ``4**N`` bytes, is the one array numpy
+    allocates.  A dense input saves no memory and takes longer through the
+    masked passes.
     """
     omega = float(omega)
     if not math.isfinite(omega):
@@ -259,12 +279,15 @@ def evolve_oracle(dm: DensityMatrix, model: DecayModel, omega: float,
     # einsum, not @: a first BLAS call raises a process's peak RSS by 0.5 MiB
     d = np.einsum("kaj,ja->ka", np.array([k0, k1]), phase)
     factor = np.einsum("ka,kb->ab", d, d.conj()).reshape(2, 1, 1, 2, 1)
-    rho = dm.matrix.copy(order="C")
+    nonzero = dm.matrix != 0
+    rho = _zero_mapped(dm.dim)
+    np.copyto(rho, dm.matrix, where=nonzero)
     for q in range(dm.n_qubits):
         left = 2**q
         right = dm.dim // (2 * left)
-        view = rho.reshape(left, 2, right, left, 2, right)
-        view *= factor
+        shape = (left, 2, right, left, 2, right)
+        view = rho.reshape(shape)
+        np.multiply(view, factor, out=view, where=nonzero.reshape(shape))
     return DensityMatrix(rho, _owned=True)
 
 

@@ -130,6 +130,38 @@ def reference_evolve(rho, model, omega, t):
     return rho
 
 
+def unmasked_evolve(dm, model, omega, t):
+    """``evolve_oracle``'s per-qubit pass without the mask: a full copy of
+    the state, every entry multiplied in place."""
+    f = model.coherence_factor(t)
+    half = 0.5 * omega * t
+    phase = np.array([[np.exp(-1j * half), 0.0], [0.0, np.exp(1j * half)]])
+    k0 = math.sqrt((1.0 + f) / 2.0) * np.eye(2)
+    k1 = math.sqrt((1.0 - f) / 2.0) * np.array([[1.0, 0.0], [0.0, -1.0]])
+    d = np.einsum("kaj,ja->ka", np.array([k0, k1]), phase)
+    factor = np.einsum("ka,kb->ab", d, d.conj()).reshape(2, 1, 1, 2, 1)
+    rho = dm.matrix.copy(order="C")
+    for q in range(dm.n_qubits):
+        left = 2**q
+        right = dm.dim // (2 * left)
+        view = rho.reshape(left, 2, right, left, 2, right)
+        view *= factor
+    return rho
+
+
+def kraus_sum(rho, model, omega, t):
+    """Each qubit's Kraus set ``{K0 P, K1 P}``, embedded as a full matrix."""
+    n = rho.shape[0].bit_length() - 1
+    f = model.coherence_factor(t)
+    phase = np.diag([np.exp(-0.5j * omega * t), np.exp(0.5j * omega * t)])
+    kraus = [math.sqrt((1.0 + f) / 2.0) * phase,
+             math.sqrt((1.0 - f) / 2.0) * np.diag([1.0, -1.0]) @ phase]
+    for q in range(n):
+        bigs = [embed(op, q, n) for op in kraus]
+        rho = sum(big @ rho @ big.conj().T for big in bigs)
+    return rho
+
+
 class TestSpecs:
     def test_probe_spec_validation(self):
         with pytest.raises(ValueError):
@@ -354,17 +386,51 @@ class TestOracle:
         state = random_state(rng, n)
         model = Quadratic(0.9)
         omega = float(rng.uniform(0.5, 3.0))
-        t = 0.7
-        f = model.coherence_factor(t)
-        phase = np.diag([np.exp(-0.5j * omega * t), np.exp(0.5j * omega * t)])
-        kraus = [math.sqrt((1.0 + f) / 2.0) * phase,
-                 math.sqrt((1.0 - f) / 2.0) * np.diag([1.0, -1.0]) @ phase]
-        expected = state.matrix
-        for q in range(n):
-            bigs = [embed(op, q, n) for op in kraus]
-            expected = sum(big @ expected @ big.conj().T for big in bigs)
-        got = evolve_oracle(state, model, omega, t).matrix
+        expected = kraus_sum(state.matrix, model, omega, 0.7)
+        got = evolve_oracle(state, model, omega, 0.7).matrix
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+    def test_nonzero_entries_match_the_unmasked_pass_to_the_bit(self):
+        rng = np.random.default_rng(29)
+        states = [ghz_density_matrix(WhiteNoiseGhzParams(n, v))
+                  for n in range(1, 10) for v in (1.0, 0.95)]
+        states += [random_state(rng, n) for n in range(1, 7)]
+        for state in states:
+            for model in (Markovian(0.7), Quadratic(1.3)):
+                omega = float(rng.uniform(-3.0, 3.0))
+                t = float(rng.uniform(0.01, 1.4))
+                got = evolve_oracle(state, model, omega, t).matrix
+                expected = unmasked_evolve(state, model, omega, t)
+                nonzero = state.matrix != 0
+                assert np.array_equal(got[nonzero], expected[nonzero])
+                assert not np.any(got[~nonzero])
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_zero_entries_stay_positive_zero(self, n):
+        # Scattered symmetric zeros off the diagonal, one of them -0.0: the
+        # pass leaves each as the mapping's +0.0, and the rest still match
+        # the explicit Kraus sum.
+        rng = np.random.default_rng(37)
+        dim = 2**n
+        rho = random_state(rng, n).matrix.copy()
+        rows, cols = np.triu_indices(dim, 1)
+        pick = rng.choice(rows.size, size=max(2, rows.size // 5), replace=False)
+        rho[rows[pick], cols[pick]] = 0.0
+        rho[cols[pick], rows[pick]] = 0.0
+        i, j = rows[pick[0]], cols[pick[0]]
+        rho[i, j] = complex(-0.0, 0.0)
+        rho[j, i] = complex(-0.0, -0.0)
+        state = DensityMatrix(rho)
+        assert np.signbit(state.matrix[i, j].real)
+        model = Quadratic(0.9)
+        omega = float(rng.uniform(0.5, 3.0))
+        got = evolve_oracle(state, model, omega, 0.7).matrix
+        np.testing.assert_allclose(got, kraus_sum(state.matrix, model, omega,
+                                                  0.7), rtol=0, atol=1e-13)
+        zeros = got[state.matrix == 0]
+        assert zeros.size == 2 * pick.size
+        assert not np.any(zeros)
+        assert not np.any(np.signbit(zeros.real) | np.signbit(zeros.imag))
 
     def test_input_left_unchanged_and_read_only(self):
         state = random_state(np.random.default_rng(4), 4)
@@ -638,6 +704,18 @@ class TestDenseMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * self.STATE_BYTES
+
+    def test_oracle_traces_only_its_mask(self):
+        # The evolved copy lives on the zero-page mapping, which tracemalloc
+        # does not see; the bool mask of nonzero entries, 4**N bytes, is left.
+        state = ghz_density_matrix(WhiteNoiseGhzParams(self.N, 0.95))
+        tracemalloc.start()
+        try:
+            evolve_oracle(state, Quadratic(1.0), 0.7, 0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4**self.N
 
     def test_hermiticity_check_temporaries_scale_with_the_block(self):
         # Each row block's temporaries are bounded by _CHECK_BLOCK, not by
