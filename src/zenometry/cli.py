@@ -71,8 +71,7 @@ def _derived_seed(seed: int, *tags) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _decay_model(cfg: config.FringeConfig | config.CompareConfig
-                 | config.NoiseSweepConfig) -> DecayModel:
+def _decay_model(cfg: config.FringeConfig | config.CompareConfig) -> DecayModel:
     if cfg.model_kind == "quadratic":
         return Quadratic(cfg.model_coefficient)
     if cfg.model_kind == "markovian":
@@ -249,7 +248,8 @@ def _compare_montecarlo(cfg: config.CompareConfig, n: int, model_test: DecayMode
 def _run_noise_sweep(cfg: config.NoiseSweepConfig, out: Path) -> dict:
     # validation admits only the quadratic family, whose closed forms take
     # its coefficient
-    coefficient = _decay_model(cfg).coefficient
+    assert cfg.model_kind == "quadratic"
+    coefficient = cfg.model_coefficient
     comments = _comments(cfg, "noise-sweep")
     # N and its SQL and HL bounds do not depend on the visibility, so every
     # visibility shares them and their text: noise_sweep computes only the

@@ -156,9 +156,10 @@ class FringeDataset:
         if self.clamped is not None:
             flags = "".join("1" if f else "0" for f in self.clamped)
             meta.append(("clamped", flags))
+        columns = (self.theta, self.n_plus, self.n_total, self.estimate,
+                   self.stderr)
         write_table(path, [*extra_comments, *meta], _CSV_HEADER,
-                    zip(self.theta, self.n_plus, self.n_total, self.estimate,
-                        self.stderr))
+                    zip(*(column.tolist() for column in columns)))
 
     @classmethod
     def from_csv(cls, path) -> "FringeDataset":

@@ -1,19 +1,20 @@
 """The CSV table format of every file zenometry reads or writes.
 
 A table is optional ``# key=value`` comment rows, one exact header row, and
-one comma-separated row per record.  Floats are written with ``repr`` (the
-shortest form that round-trips), integers in decimal, booleans as
-``true``/``false`` and ``None`` as an empty cell.  ``format_column``
-applies that one cell rule to a whole column: a column of exact ``float``
-or exact ``int`` cells is mapped through that type's ``repr``, one of exact
-``str`` cells passes through as it is, one of exact ``bool`` cells is
-looked up, and any other column goes cell by cell.  The writer formats rows
-in fixed-size chunks, a column at a time, and writes each chunk to the open
-file at once; a caller that formats a column shared by many rows once, with
-``format_column``, hands the writer ``str`` cells that cost it nothing.
-The reader skips blank lines and comment rows wherever they appear, strips
-whitespace around cells, unquotes quoted cells, and reports a malformed row,
-or a comment key given twice, as ``path:line``.
+one comma-separated row per record.  The writer takes Python cells only:
+floats are written with ``repr`` (the shortest form that round-trips),
+integers in decimal, booleans as ``true``/``false``, strings as they are and
+``None`` as an empty cell.  ``format_column`` applies that one cell rule to
+a whole column: a column of exact ``float`` or exact ``int`` cells is mapped
+through that type's ``repr``, one of exact ``str`` cells passes through as
+it is, one of exact ``bool`` cells is looked up, and any other column goes
+cell by cell.  The writer formats rows in fixed-size chunks, a column at a
+time, and writes each chunk to the open file at once; a caller that formats
+a column shared by many rows once, with ``format_column``, hands the writer
+``str`` cells that cost it nothing.  The reader skips blank lines and
+comment rows wherever they appear, free-text ones from other programs
+included, strips whitespace around cells, unquotes quoted cells, and
+reports a malformed row, or a comment key given twice, as ``path:line``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import csv
 from itertools import islice
 from pathlib import Path
 
-from ._numpy import np
-
 # Rows formatted and written per chunk: enough to amortise the per-column
 # type dispatch, few enough that a chunk's strings stay small.  On a
 # 100k-row table 1024 wrote faster than 4096 or 16384, and as fast as 256.
@@ -31,8 +30,6 @@ _CHUNK_ROWS = 1024
 
 
 def _format_cell(value) -> str:
-    # Python types first: a Python cell never reads ``np``, so never
-    # imports numpy, and a numpy scalar exists only once numpy is loaded.
     if value is None:
         return ""
     if isinstance(value, str):
@@ -42,12 +39,6 @@ def _format_cell(value) -> str:
     if isinstance(value, int):
         return str(int(value))
     if isinstance(value, float):
-        return repr(float(value))
-    if isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, np.integer):
-        return str(int(value))
-    if isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
 
@@ -60,11 +51,11 @@ def format_column(cells):
 
     Dispatches once on the column's exact cell types: all ``float`` or all
     ``int`` map that type's ``repr``, all ``str`` return ``cells`` itself
-    (``str(s) is s``), all ``bool`` look their text up, and any mix, numpy
-    scalar or ``None`` takes the cell rule cell by cell.
+    (``str(s) is s``), all ``bool`` look their text up, and any mix, any
+    subclass or ``None`` takes the cell rule cell by cell.
     """
-    # Exact types only: bool is an int, and np.str_ and np.bool_ are not
-    # str and bool, so an isinstance test would mix the paths up.
+    # Exact types only: bool is an int, so an isinstance test would mix the
+    # paths up.
     kinds = set(map(type, cells))
     if kinds == {float}:
         return map(float.__repr__, cells)
@@ -80,22 +71,20 @@ def format_column(cells):
 def write_table(path, comments, header, rows) -> None:
     """Write comment rows, the header and one line per row to ``path``.
 
-    A comment is a string, written as it is, or a ``(key, value)`` pair,
-    written ``key=value`` with the value formatted as a cell.  ``rows`` is
-    any iterable of rows of one length (a ragged row raises ValueError),
-    lazy ones included.  It is consumed in chunks of ``_CHUNK_ROWS`` rows;
-    each chunk is formatted a column at a time by ``format_column`` and
-    written to the open file, so no copy of the whole text is ever built.
-    Cells that are already ``str`` are written as they are.  A key given
-    by two comments raises ValueError, as the reader refuses it; a
-    free-text comment holding ``=`` gives the key before its first ``=``.
+    Each comment is a ``(key, value)`` pair, written ``key=value`` with the
+    value formatted as a cell; a key given twice raises ValueError, as the
+    reader refuses it.  Cells are ``None``, ``str``, ``bool``, ``int`` or
+    ``float``.  ``rows`` is any iterable of rows of one length (a ragged
+    row raises ValueError), lazy ones included.  It is consumed in chunks
+    of ``_CHUNK_ROWS`` rows; each chunk is formatted a column at a time by
+    ``format_column`` and written to the open file, so no copy of the whole
+    text is ever built.  Cells that are already ``str`` are written as they
+    are.
     """
-    lines = [f"# {c}" if isinstance(c, str) else f"# {c[0]}={_format_cell(c[1])}"
-             for c in comments]
-    # the keys the reader sees, free-text comments that look like one included
-    keys = [line[1:].partition("=")[0].strip() for line in lines if "=" in line]
+    keys = [key for key, _ in comments]
     if len(set(keys)) != len(keys):
         raise ValueError(f"repeated comment key in {keys}")
+    lines = [f"# {key}={_format_cell(value)}" for key, value in comments]
     lines.append(",".join(header))
     rows = iter(rows)
     with open(path, "w") as fh:

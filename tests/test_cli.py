@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 import zenometry
 import zenometry.cli
+import zenometry.fringes
+import zenometry.tables
 from zenometry import sample_fringe
 from zenometry.analysis import noise_sweep, reference_bounds
 from zenometry.cli import _theta_grid, main
@@ -819,25 +821,61 @@ _READ_CASES = {
 }
 
 
+def _read_case_configs(tmp_path, command):
+    """The command's config of each of its read cases, with a fresh output
+    directory for each."""
+    table = tmp_path / "gamma.csv"
+    table.write_text("t,gamma\n" + "".join(
+        f"{0.05 * i!r},{(0.05 * i) ** 2!r}\n" for i in range(41)))
+    for position, body in enumerate(_READ_CASES[command]):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[{command}]\n{body}model_csv = {table}\n"
+                       if "tabulated" in body else f"[{command}]\n{body}")
+        out = tmp_path / str(position)
+        out.mkdir()
+        yield load_config(ini, command), out
+
+
 @pytest.mark.parametrize("command", list(_READ_CASES))
 def test_handlers_read_every_field_of_their_type(tmp_path, monkeypatch,
                                                   command):
     # every mode, model family and witness route together read each field
     # of the command's type; hashing reads them all, so it is left out
-    table = tmp_path / "gamma.csv"
-    table.write_text("t,gamma\n" + "".join(
-        f"{0.05 * i!r},{(0.05 * i) ** 2!r}\n" for i in range(41)))
     monkeypatch.setattr(zenometry.cli, "config_hash", lambda cfg, section: "0")
     reads = set()
-    for position, body in enumerate(_READ_CASES[command]):
-        ini = tmp_path / "exp.ini"
-        ini.write_text(f"[{command}]\n{body}model_csv = {table}\n"
-                       if "tabulated" in body else f"[{command}]\n{body}")
-        cfg = load_config(ini, command)
-        out = tmp_path / str(position)
-        out.mkdir()
+    for cfg, out in _read_case_configs(tmp_path, command):
         zenometry.cli._HANDLERS[command](_recording(cfg, reads), out)
     assert reads == {f.name for f in fields(CONFIG_TYPES[command])}
+
+
+@pytest.mark.parametrize("command", list(_READ_CASES))
+def test_tables_get_pair_comments_and_python_cells(tmp_path, monkeypatch,
+                                                   command):
+    # the table writer formats only these cell types; any other value would
+    # reach its str() fallback.  noise-sweep formats its columns itself.
+    cell_types = {type(None), str, bool, int, float}
+    comments_seen, types_seen = [], set()
+
+    def write_table(path, comments, header, rows):
+        rows = list(rows)
+        comments_seen.extend(comments)
+        types_seen.update(type(cell) for row in rows for cell in row)
+        zenometry.tables.write_table(path, comments, header, rows)
+
+    def format_column(cells):
+        types_seen.update(map(type, cells))
+        return zenometry.tables.format_column(cells)
+
+    for module in (zenometry.cli, zenometry.fringes):
+        monkeypatch.setattr(module, "write_table", write_table)
+    monkeypatch.setattr(zenometry.cli, "format_column", format_column)
+    for cfg, out in _read_case_configs(tmp_path, command):
+        zenometry.cli._HANDLERS[command](cfg, out)
+    assert comments_seen
+    for comment in comments_seen:
+        assert type(comment) is tuple and len(comment) == 2, comment
+        assert type(comment[0]) is str and type(comment[1]) in cell_types, comment
+    assert types_seen <= cell_types
 
 
 # Small runs of every subcommand; an example replaces one key's value.

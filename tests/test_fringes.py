@@ -130,9 +130,9 @@ class TestCsvRoundTrip:
         data = small_dataset()
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        data.to_csv(p1, extra_comments=("config_sha256=deadbeef",))
+        data.to_csv(p1, extra_comments=[("config_sha256", "deadbeef")])
         back = FringeDataset.from_csv(p1)
-        back.to_csv(p2, extra_comments=("config_sha256=deadbeef",))
+        back.to_csv(p2, extra_comments=[("config_sha256", "deadbeef")])
         assert p1.read_bytes() == p2.read_bytes()
         assert back.strategy == data.strategy
         assert back.n_qubits == data.n_qubits

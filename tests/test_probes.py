@@ -695,16 +695,6 @@ class TestDenseMemory:
             tracemalloc.stop()
         assert peak <= 1.2 * self.STATE_BYTES
 
-    def test_oracle_adds_one_state_over_its_input(self):
-        state = ghz_density_matrix(WhiteNoiseGhzParams(self.N, 0.9))
-        tracemalloc.start()
-        try:
-            evolve_oracle(state, Quadratic(1.0), 0.7, 0.2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * self.STATE_BYTES
-
     def test_oracle_traces_only_its_mask(self):
         # The evolved copy lives on the zero-page mapping, which tracemalloc
         # does not see; the bool mask of nonzero entries, 4**N bytes, is left.

@@ -83,13 +83,11 @@ def test_reader_contract(tmp_path, kind):
 
 def test_writer_cells_round_trip(tmp_path):
     path = tmp_path / "cells.csv"
-    row = (0.1 + 0.2, np.float64(1e-300), np.int64(7), True, np.bool_(False),
-           None, "ghz")
+    row = (0.1 + 0.2, 1e-300, 7, True, False, None, "ghz")
     header = ("a", "b", "c", "d", "e", "f", "g")
-    write_table(path, ["free text", ("seed", 42), ("visibility", None)],
-                header, [row])
+    write_table(path, [("seed", 42), ("visibility", None)], header, [row])
     assert path.read_text() == (
-        "# free text\n# seed=42\n# visibility=\n"
+        "# seed=42\n# visibility=\n"
         "a,b,c,d,e,f,g\n"
         "0.30000000000000004,1e-300,7,true,false,,ghz\n")
     meta, rows = read_table(path, header, (float, float, int, str, str, str, str))
@@ -101,16 +99,15 @@ class _Level(enum.IntEnum):
     TWO = 2
 
 
-# One cell of each type the writer meets, and its text: the Python types are
-# tested before the numpy ones, and neither order changes a text.
+# One cell of each type the writer meets, and its text.  The program sends
+# Python cells only; a numpy float64 or str_ still takes the rule of the
+# Python type it subclasses, and an int64 the str fallback.
 @pytest.mark.parametrize("cell, text", [
     (None, ""),
     ("ghz", "ghz"),
     (np.str_("ghz"), "ghz"),
     (True, "true"),
     (False, "false"),
-    (np.bool_(True), "true"),
-    (np.bool_(False), "false"),
     (-7, "-7"),
     (np.int64(-7), "-7"),
     (np.int64(2**62), "4611686018427387904"),
@@ -118,7 +115,6 @@ class _Level(enum.IntEnum):
     (0.1, "0.1"),
     (-0.0, "-0.0"),
     (math.inf, "inf"),
-    (np.float32(0.1), "0.10000000149011612"),
     (np.float64(0.1), "0.1"),
     (np.float64(1e-320), "1e-320"),
 ], ids=repr)
@@ -129,8 +125,7 @@ def test_format_cell_text(cell, text):
 def per_row_reference(comments, header, rows) -> str:
     """The text the writer wrote before it formatted rows by column: every
     cell through ``_format_cell``, one row at a time."""
-    lines = [f"# {c}" if isinstance(c, str) else f"# {c[0]}={_format_cell(c[1])}"
-             for c in comments]
+    lines = [f"# {key}={_format_cell(value)}" for key, value in comments]
     lines.append(",".join(header))
     lines += [",".join(map(_format_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
@@ -138,27 +133,26 @@ def per_row_reference(comments, header, rows) -> str:
 
 SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2,
                   -1.5e-300, 1e22, 5e-324, 2.0 / 3.0)
-MIXED_CELLS = (1.25, -7, True, False, np.float64(-0.0), np.float64(1e-300),
-               np.int64(-12), np.bool_(True), np.bool_(False), None, "ghz",
-               "", np.float64(math.nan), -math.inf)
-WIDE_HEADER = ("float_then_none", "int", "bool", "mixed", "np_float",
-               "np_int", "text", "int_or_bool", "str_then_mixed",
-               "bool_then_np")
+MIXED_CELLS = (1.25, -7, True, False, -0.0, 1e-300, -12, _Level.TWO, None,
+               "ghz", "", math.nan, -math.inf)
+WIDE_HEADER = ("float_then_none", "int", "bool", "mixed", "ratio",
+               "negated", "text", "int_or_bool", "str_then_mixed",
+               "bool_then_int")
 
 
 def str_then_mixed(i: int):
     if i == _CHUNK_ROWS:
         return None
     if i == _CHUNK_ROWS + 1:
-        return np.str_("np")
+        return 2.5
     return ("", "ghz", "a b", "1.5")[i % 4]
 
 
 def wide_rows(count: int) -> list[tuple]:
     """Rows that put every cell kind in every chunk.  Some columns hold one
     exact type in the first chunk and break it in the second: exact floats,
-    then None; exact ints, then one bool; exact strs, then None and an
-    ``np.str_``; exact bools, then an ``np.bool_``."""
+    then None; exact ints, then one bool; exact strs, then None and a
+    float; exact bools, then an int."""
     rows = []
     for i in range(count):
         rows.append((
@@ -166,12 +160,12 @@ def wide_rows(count: int) -> list[tuple]:
             (-1) ** i * i * 10**(i % 25),
             i % 3 == 0,
             MIXED_CELLS[i % len(MIXED_CELLS)],
-            np.float64(i / 7.0),
-            np.int64(-i),
+            i / 7.0,
+            -i,
             f"s{i}",
             (i == _CHUNK_ROWS + 1) or i,
             str_then_mixed(i),
-            np.bool_(i % 2) if i == _CHUNK_ROWS + 2 else i % 5 == 1,
+            i % 2 if i == _CHUNK_ROWS + 2 else i % 5 == 1,
         ))
     return rows
 
@@ -179,8 +173,8 @@ def wide_rows(count: int) -> list[tuple]:
 @pytest.mark.parametrize("count", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
                                    _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3])
 def test_writer_matches_per_row_reference(tmp_path, count):
-    comments = ["free text", ("seed", 42), ("visibility", None),
-                ("divisor", np.float64(0.81)), ("flag", True)]
+    comments = [("seed", 42), ("visibility", None), ("divisor", 0.81),
+                ("flag", True)]
     rows = wide_rows(count)
     expected = per_row_reference(comments, WIDE_HEADER, rows)
     assert expected.count("\n") == len(comments) + 1 + count
@@ -191,7 +185,7 @@ def test_writer_matches_per_row_reference(tmp_path, count):
     first = rows[:_CHUNK_ROWS]
     column = {name: i for i, name in enumerate(WIDE_HEADER)}
     for name, kind in (("float_then_none", float), ("int_or_bool", int),
-                       ("str_then_mixed", str), ("bool_then_np", bool)):
+                       ("str_then_mixed", str), ("bool_then_int", bool)):
         assert {type(r[column[name]]) for r in first} <= {kind}
     assert {type(r[column["bool"]]) for r in rows} <= {bool}
     assert {type(r[column["text"]]) for r in rows} <= {str}
@@ -200,19 +194,15 @@ def test_writer_matches_per_row_reference(tmp_path, count):
         assert second[0][column["float_then_none"]] is None
         assert second[1][column["int_or_bool"]] is True
         assert second[0][column["str_then_mixed"]] is None
-        assert type(second[1][column["str_then_mixed"]]) is np.str_
-        assert type(second[2][column["bool_then_np"]]) is np.bool_
+        assert type(second[1][column["str_then_mixed"]]) is float
+        assert type(second[2][column["bool_then_int"]]) is int
 
 
 def test_writer_rejects_a_repeated_comment_key(tmp_path):
     path = tmp_path / "twice.csv"
     with pytest.raises(ValueError, match="repeated comment key"):
-        write_table(path, [("seed", 42), "free text", ("seed", 7)], ("a",), [(1,)])
-    # free-text comments may repeat, but one that reads as a key counts as it
-    with pytest.raises(ValueError, match="repeated comment key"):
-        write_table(path, ["seed=1", ("seed", 2)], ("a",), [(1,)])
-    write_table(path, ["note", "note", "seed", ("seed", 2)], ("a",), [(1,)])
-    assert read_table(path, ("a",), (int,)) == ({"seed": "2"}, [(1,)])
+        write_table(path, [("seed", 42), ("flag", True), ("seed", 7)], ("a",),
+                    [(1,)])
 
 
 def test_reader_rejects_a_repeated_comment_key(tmp_path):
