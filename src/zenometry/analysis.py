@@ -109,10 +109,16 @@ def _anchor(gamma_coefficient: float) -> float:
     return anchor
 
 
-def reference_bounds(n_values, gamma_coefficient: float) -> ReferenceBounds:
+def _qubit_counts(n_values) -> list[int]:
+    """``n_values`` as ints, refused unless there is one and each is >= 1."""
     ns = [int(n) for n in n_values]
     if not ns or any(n < 1 for n in ns):
         raise ValueError("need qubit counts >= 1")
+    return ns
+
+
+def reference_bounds(n_values, gamma_coefficient: float) -> ReferenceBounds:
+    ns = _qubit_counts(n_values)
     anchor = _anchor(gamma_coefficient)
     return ReferenceBounds(
         n_values=tuple(ns),
@@ -140,7 +146,8 @@ def relative_resolution(n: int, model_nm: DecayModel, model_m: DecayModel) -> fl
 class NoiseSweepResult:
     """One visibility's sweep: columns with one entry per N, in given order.
 
-    The N and SQL columns they line up with are ``.n_values`` and ``.sql`` of
+    The N column they line up with is the N values the sweep was given, and
+    the SQL column their flags compare with is ``.sql`` of
     ``reference_bounds(ns, gamma_coefficient)``.
     """
 
@@ -157,31 +164,23 @@ def noise_sweep(fusion_visibility: float, n_values,
     ``2 sqrt(e c) / (N**1.5 v**N)``; it beats the SQL ``2 sqrt(e c) / N``
     exactly when ``sqrt(N) v**N > 1``.  The result holds the GHZ column and
     its ``beats_sql`` flags, computed N by N in Python floats, so at v = 1 the
-    GHZ column equals ``reference_bounds(...).zl`` exactly.  ``crossing`` is
-    the largest qubit number that still beats the SQL (None when the
-    advantage never appears, or never disappears as for v = 1).  Underflow
-    of ``v**N`` reports an infinite variance rather than an error.
-
-    ``n_values`` may also be the ``ReferenceBounds`` that
-    ``reference_bounds(ns, gamma_coefficient)`` returned; N values are made
-    into those first.  Their N tuple and SQL column are taken as they are, so
-    a sweep over several visibilities computes only the GHZ column for each.
+    GHZ column equals ``reference_bounds(...).zl`` exactly, and each flag
+    compares with the SQL entry of ``reference_bounds(...).sql`` to the bit.
+    ``crossing`` is the largest qubit number that still beats the SQL (None
+    when the advantage never appears, or never disappears as for v = 1).
+    Underflow of ``v**N`` reports an infinite variance rather than an error.
     """
     v = float(fusion_visibility)
     if not 0.0 < v <= 1.0:
         raise ValueError("fusion visibility must lie in (0, 1]")
     anchor = _anchor(gamma_coefficient)
-    bounds = (n_values if isinstance(n_values, ReferenceBounds)
-              else reference_bounds(n_values, gamma_coefficient))
-    ns, sql = bounds.n_values, bounds.sql
-    if not ns or len(sql) != len(ns) or sql[0] != anchor / ns[0]:
-        raise ValueError("bounds must be reference_bounds(n_values, "
-                         "gamma_coefficient)")
+    ns = _qubit_counts(n_values)
     d2 = tuple(anchor / denominator if denominator > 0.0 else math.inf
                for denominator in (n**1.5 * v**n for n in ns))
     return NoiseSweepResult(
         d2omega_t_ghz=d2,
-        beats_sql=tuple(map(float.__lt__, d2, sql)),
+        # the SQL as reference_bounds computes it
+        beats_sql=tuple(d < anchor / n for d, n in zip(d2, ns)),
         crossing=advantage_crossing(v),
     )
 

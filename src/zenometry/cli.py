@@ -252,8 +252,8 @@ def _run_noise_sweep(cfg: config.NoiseSweepConfig, out: Path) -> dict:
     coefficient = cfg.model_coefficient
     comments = _comments(cfg, "noise-sweep")
     # N and its SQL and HL bounds do not depend on the visibility, so every
-    # visibility shares them and their text: noise_sweep computes only the
-    # GHZ column, and each distinct cell is formatted once
+    # visibility shares them and their text, and each distinct cell is
+    # formatted once
     bounds = reference_bounds(range(1, cfg.n_max + 1), coefficient)
     n_text, sql_text, hl_text = (tuple(format_column(column)) for column in
                                  (bounds.n_values, bounds.sql, bounds.hl))
@@ -263,7 +263,7 @@ def _run_noise_sweep(cfg: config.NoiseSweepConfig, out: Path) -> dict:
     # so fills crossings, before the summary is returned
     def rows():
         for v in cfg.fusion_visibilities:
-            sweep = noise_sweep(v, bounds, coefficient)
+            sweep = noise_sweep(v, bounds.n_values, coefficient)
             crossings[repr(v)] = sweep.crossing
             (v_text,) = format_column((v,))
             yield from zip(repeat(v_text), n_text,

@@ -113,7 +113,7 @@ class WhiteNoiseGhzParams:
             raise ValueError("the witness is undefined for a single qubit")
         v = self.parity_visibility
         c = math.ldexp(1.0 - v, -n) + 0.5 * v
-        return 3.0 - ((0.5 * v + 0.5 * v) + 1.0) - 2.0 * (c + c)
+        return witness_from_settings(0.5 * v + 0.5 * v, c, c)
 
 
 @dataclass(frozen=True, eq=False)

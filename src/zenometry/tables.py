@@ -4,29 +4,20 @@ A table is optional ``# key=value`` comment rows, one exact header row, and
 one comma-separated row per record.  The writer takes Python cells only:
 floats are written with ``repr`` (the shortest form that round-trips),
 integers in decimal, booleans as ``true``/``false``, strings as they are and
-``None`` as an empty cell.  ``format_column`` applies that one cell rule to
-a whole column: a column of exact ``float`` or exact ``int`` cells is mapped
-through that type's ``repr``, one of exact ``str`` cells passes through as
-it is, one of exact ``bool`` cells is looked up, and any other column goes
-cell by cell.  The writer formats rows in fixed-size chunks, a column at a
-time, and writes each chunk to the open file at once; a caller that formats
-a column shared by many rows once, with ``format_column``, hands the writer
-``str`` cells that cost it nothing.  The reader skips blank lines and
-comment rows wherever they appear, free-text ones from other programs
-included, strips whitespace around cells, unquotes quoted cells, and
-reports a malformed row, or a comment key given twice, as ``path:line``.
+``None`` as an empty cell.  It writes one row at a time; a row of ``str``
+cells is joined as it is, and any other row takes that cell rule cell by
+cell.  ``format_column`` applies the same rule to a whole column, so a
+caller that shares a column between many rows formats it once and hands the
+writer ``str`` cells.  The reader skips blank lines and comment rows
+wherever they appear, free-text ones from other programs included, strips
+whitespace around cells, unquotes quoted cells, and reports a malformed
+row, or a comment key given twice, as ``path:line``.
 """
 
 from __future__ import annotations
 
 import csv
-from itertools import islice
 from pathlib import Path
-
-# Rows formatted and written per chunk: enough to amortise the per-column
-# type dispatch, few enough that a chunk's strings stay small.  On a
-# 100k-row table 1024 wrote faster than 4096 or 16384, and as fast as 256.
-_CHUNK_ROWS = 1024
 
 
 def _format_cell(value) -> str:
@@ -50,9 +41,8 @@ def format_column(cells):
     """The text of each of ``cells`` under the cell rule, as an iterable.
 
     Dispatches once on the column's exact cell types: all ``float`` or all
-    ``int`` map that type's ``repr``, all ``str`` return ``cells`` itself
-    (``str(s) is s``), all ``bool`` look their text up, and any mix, any
-    subclass or ``None`` takes the cell rule cell by cell.
+    ``int`` map that type's ``repr``, all ``bool`` look their text up, and
+    any other column takes the cell rule cell by cell.
     """
     # Exact types only: bool is an int, so an isinstance test would mix the
     # paths up.
@@ -61,8 +51,6 @@ def format_column(cells):
         return map(float.__repr__, cells)
     if kinds == {int}:
         return map(int.__repr__, cells)
-    if kinds == {str}:
-        return cells
     if kinds == {bool}:
         return map(_BOOL_TEXT.__getitem__, cells)
     return map(_format_cell, cells)
@@ -74,25 +62,28 @@ def write_table(path, comments, header, rows) -> None:
     Each comment is a ``(key, value)`` pair, written ``key=value`` with the
     value formatted as a cell; a key given twice raises ValueError, as the
     reader refuses it.  Cells are ``None``, ``str``, ``bool``, ``int`` or
-    ``float``.  ``rows`` is any iterable of rows of one length (a ragged
-    row raises ValueError), lazy ones included.  It is consumed in chunks
-    of ``_CHUNK_ROWS`` rows; each chunk is formatted a column at a time by
-    ``format_column`` and written to the open file, so no copy of the whole
-    text is ever built.  Cells that are already ``str`` are written as they
-    are.
+    ``float``.  ``rows`` is any iterable of rows, lazy ones included, and
+    each row is a sequence as long as ``header`` (any other length raises
+    ValueError, as the reader would refuse the line).  Rows are written to
+    the open file one at a time, so no copy of the whole text is built.
     """
     keys = [key for key, _ in comments]
     if len(set(keys)) != len(keys):
         raise ValueError(f"repeated comment key in {keys}")
-    lines = [f"# {key}={_format_cell(value)}" for key, value in comments]
-    lines.append(",".join(header))
-    rows = iter(rows)
+    width = len(header)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            # strict: a plain zip would cut every row to the shortest one
-            columns = [format_column(cells) for cells in zip(*chunk, strict=True)]
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        for key, value in comments:
+            fh.write(f"# {key}={_format_cell(value)}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"expected {width} columns, got {len(row)}")
+            try:
+                # the cell rule writes a str as itself
+                line = ",".join(row)
+            except TypeError:
+                line = ",".join(map(_format_cell, row))
+            fh.write(line + "\n")
 
 
 def convert_cell(where, name, convert, cell):

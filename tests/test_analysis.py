@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 from zenometry import (
     Markovian,
     Quadratic,
-    ReferenceBounds,
     advantage_crossing,
     noise_sweep,
     reference_bounds,
@@ -213,24 +212,17 @@ class TestNoiseSweep:
     @pytest.mark.parametrize("v, c", [(0.1, 1.0), (0.9, 0.7), (1.0, 1.0)])
     def test_reference_bounds_give_the_same_sweep(self, v, c, monkeypatch):
         ns = range(1, 401)
-        bounds = reference_bounds(ns, c)
-        expected = noise_sweep(v, ns, c)
+        sql = reference_bounds(ns, c).sql
 
         def rebuilt(*args, **kwargs):
-            raise AssertionError("the given bounds were rebuilt")
+            raise AssertionError("noise_sweep built reference bounds")
 
-        # the given N and SQL columns are read, not built again
+        # the flags take the SQL as reference_bounds computes it, without
+        # building the bounds
         monkeypatch.setattr(analysis, "reference_bounds", rebuilt)
-        assert noise_sweep(v, bounds, c) == expected
-
-    def test_mismatched_reference_bounds_rejected(self):
-        bounds = reference_bounds(range(1, 10), 0.7)
-        ragged = ReferenceBounds(bounds.n_values, bounds.sql[:1], bounds.zl,
-                                 bounds.hl)
-        empty = ReferenceBounds((), (), (), ())
-        for wrong, c in ((bounds, 1.0), (ragged, 0.7), (empty, 0.7)):
-            with pytest.raises(ValueError, match="must be reference_bounds"):
-                noise_sweep(0.9, wrong, c)
+        sweep = noise_sweep(v, ns, c)
+        assert sweep.beats_sql == tuple(
+            d < bound for d, bound in zip(sweep.d2omega_t_ghz, sql, strict=True))
 
     def test_ideal_visibility_reproduces_zeno_bound(self):
         ns = list(range(1, 51))

@@ -26,7 +26,6 @@ from zenometry import sample_fringe
 from zenometry.analysis import noise_sweep, reference_bounds
 from zenometry.cli import _theta_grid, main
 from zenometry.config import CONFIG_TYPES, FringeConfig, config_hash, load_config
-from zenometry.tables import _CHUNK_ROWS
 
 from test_tables import per_row_reference
 
@@ -327,8 +326,8 @@ class TestNoiseSweep:
         assert flags[("0.99", 281)] == "false"
 
     def test_sweep_file_matches_per_row_reference(self, tmp_path):
-        # 3 x 5000 rows cross several of the writer's chunk boundaries; the
-        # reference computes the bounds afresh for every visibility
+        # the reference formats every cell of 3 x 5000 rows afresh, and
+        # computes the bounds afresh for every visibility
         text = ("[noise-sweep]\nfusion_visibilities = 0.99, 0.9995, 1.0\n"
                 "n_max = 5000\nmodel_coefficient = 0.7\n")
         rc, summary = run(tmp_path, "noise-sweep", text)
@@ -345,7 +344,7 @@ class TestNoiseSweep:
             [("config_sha256", config_hash(cfg, "noise-sweep"))],
             ("fusion_visibility", "N", "d2omegaT_ghz", "bound_sql",
              "bound_hl", "beats_sql"), rows)
-        assert len(rows) > 3 * _CHUNK_ROWS
+        assert len(rows) == 3 * 5000
         assert (tmp_path / "out" / "noise_sweep.csv").read_bytes() \
             == expected.encode()
         assert summary["crossings"] == {"0.99": 280, "0.9995": 9115,

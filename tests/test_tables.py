@@ -9,7 +9,7 @@ import pytest
 from zenometry.channel import TabulatedMode, load_bd_calibration
 from zenometry.decay import Tabulated
 from zenometry.fringes import FringeDataset
-from zenometry.tables import _CHUNK_ROWS, _format_cell, read_table, write_table
+from zenometry.tables import _format_cell, format_column, read_table, write_table
 
 # reader, required comment rows, header, three data rows, and the values the
 # reader loaded (compared between variants of one file).
@@ -123,8 +123,8 @@ def test_format_cell_text(cell, text):
 
 
 def per_row_reference(comments, header, rows) -> str:
-    """The text the writer wrote before it formatted rows by column: every
-    cell through ``_format_cell``, one row at a time."""
+    """The text of a table with every cell through ``_format_cell``, one
+    row at a time."""
     lines = [f"# {key}={_format_cell(value)}" for key, value in comments]
     lines.append(",".join(header))
     lines += [",".join(map(_format_cell, row)) for row in rows]
@@ -138,64 +138,83 @@ MIXED_CELLS = (1.25, -7, True, False, -0.0, 1e-300, -12, _Level.TWO, None,
 WIDE_HEADER = ("float_then_none", "int", "bool", "mixed", "ratio",
                "negated", "text", "int_or_bool", "str_then_mixed",
                "bool_then_int")
+# Index of the first row that breaks a column of one exact type
+BREAK = 1024
 
 
 def str_then_mixed(i: int):
-    if i == _CHUNK_ROWS:
+    if i == BREAK:
         return None
-    if i == _CHUNK_ROWS + 1:
+    if i == BREAK + 1:
         return 2.5
     return ("", "ghz", "a b", "1.5")[i % 4]
 
 
 def wide_rows(count: int) -> list[tuple]:
-    """Rows that put every cell kind in every chunk.  Some columns hold one
-    exact type in the first chunk and break it in the second: exact floats,
-    then None; exact ints, then one bool; exact strs, then None and a
-    float; exact bools, then an int."""
+    """Rows that put every cell kind in one table.  Some columns hold one
+    exact type for the first ``BREAK`` rows and break it after: exact
+    floats, then None; exact ints, then one bool; exact strs, then None and
+    a float; exact bools, then an int."""
     rows = []
     for i in range(count):
         rows.append((
-            None if i == _CHUNK_ROWS else SPECIAL_FLOATS[i % 10] * (i + 1),
+            None if i == BREAK else SPECIAL_FLOATS[i % 10] * (i + 1),
             (-1) ** i * i * 10**(i % 25),
             i % 3 == 0,
             MIXED_CELLS[i % len(MIXED_CELLS)],
             i / 7.0,
             -i,
             f"s{i}",
-            (i == _CHUNK_ROWS + 1) or i,
+            (i == BREAK + 1) or i,
             str_then_mixed(i),
-            i % 2 if i == _CHUNK_ROWS + 2 else i % 5 == 1,
+            i % 2 if i == BREAK + 2 else i % 5 == 1,
         ))
     return rows
 
 
-@pytest.mark.parametrize("count", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS,
-                                   _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3])
+def text_row(i: int) -> tuple:
+    """A row of ``str`` cells only, as a caller that formatted its cells
+    itself sends them."""
+    return (f"{i}.5", "", "true", "ghz", "-0.0", f"s{i}", "a b", "inf",
+            "1e-300", str(-i))
+
+
+@pytest.mark.parametrize("count", [0, 1, BREAK - 1, BREAK, BREAK + 1,
+                                   2 * BREAK + 3])
 def test_writer_matches_per_row_reference(tmp_path, count):
     comments = [("seed", 42), ("visibility", None), ("divisor", 0.81),
                 ("flag", True)]
-    rows = wide_rows(count)
+    # every third row is all str, so the writer's two row paths alternate
+    rows = [text_row(i) if i % 3 == 2 else row
+            for i, row in enumerate(wide_rows(count))]
     expected = per_row_reference(comments, WIDE_HEADER, rows)
     assert expected.count("\n") == len(comments) + 1 + count
     for name, given in (("list.csv", rows), ("iterator.csv", iter(rows))):
         path = tmp_path / name
         write_table(path, comments, WIDE_HEADER, given)
         assert path.read_bytes() == expected.encode()
-    first = rows[:_CHUNK_ROWS]
-    column = {name: i for i, name in enumerate(WIDE_HEADER)}
+    kinds = {frozenset(map(type, row)) for row in rows}
+    if count > 2:
+        assert frozenset({str}) in kinds and len(kinds) > 1
+
+
+def test_format_column_is_the_cell_rule():
+    rows = wide_rows(2 * BREAK + 3)
+    columns = dict(zip(WIDE_HEADER, zip(*rows, strict=True), strict=True))
+    # the exact-type paths run on the first BREAK rows, and on the whole of
+    # the columns that never break
     for name, kind in (("float_then_none", float), ("int_or_bool", int),
-                       ("str_then_mixed", str), ("bool_then_int", bool)):
-        assert {type(r[column[name]]) for r in first} <= {kind}
-    assert {type(r[column["bool"]]) for r in rows} <= {bool}
-    assert {type(r[column["text"]]) for r in rows} <= {str}
-    if count > _CHUNK_ROWS + 2:
-        second = rows[_CHUNK_ROWS:]
-        assert second[0][column["float_then_none"]] is None
-        assert second[1][column["int_or_bool"]] is True
-        assert second[0][column["str_then_mixed"]] is None
-        assert type(second[1][column["str_then_mixed"]]) is float
-        assert type(second[2][column["bool_then_int"]]) is int
+                       ("bool_then_int", bool), ("int", int), ("ratio", float),
+                       ("negated", int), ("bool", bool)):
+        assert {type(c) for c in columns[name][:BREAK]} == {kind}
+    assert _Level.TWO in columns["mixed"] and None in columns["mixed"]
+    assert columns["float_then_none"][BREAK] is None
+    assert columns["int_or_bool"][BREAK + 1] is True
+    assert type(columns["str_then_mixed"][BREAK + 1]) is float
+    assert type(columns["bool_then_int"][BREAK + 2]) is int
+    for name, column in columns.items():
+        for cells in (column[:BREAK], column):
+            assert list(format_column(cells)) == [_format_cell(c) for c in cells], name
 
 
 def test_writer_rejects_a_repeated_comment_key(tmp_path):
@@ -218,5 +237,8 @@ def test_reader_rejects_a_repeated_comment_key(tmp_path):
 
 
 def test_writer_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ValueError):
-        write_table(tmp_path / "ragged.csv", [], ("a", "b"), [(1, 2), (3,)])
+    # a row as wide as its neighbours but not the header is refused too:
+    # the reader would refuse the line it wrote
+    for rows in ([(1, 2), (3,)], [(1, 2, 3), (4, 5, 6)], [("1", "2", "3")]):
+        with pytest.raises(ValueError, match="expected 2 columns"):
+            write_table(tmp_path / "ragged.csv", [], ("a", "b"), rows)
