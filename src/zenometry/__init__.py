@@ -14,7 +14,7 @@ imports the modules of ``_MODULES`` in order, up to the one whose ``__all__``
 holds it, and caches the name here.  The order follows the imports, so a
 name loads its module and that module's imports (a ``fringes``, ``channel``
 or ``config`` name also loads the modules listed before it).  The oracle's
-names, in ``decay``, ``probes`` and ``estimation``, load neither ``config``
+names, in ``decay`` and ``probes``, load neither ``estimation``, ``config``
 nor ``channel``.  Reading ``__all__`` loads all seven modules and lists their
 names in that order; ``dir()`` lists them too.
 """

@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .decay import DecayModel
-from .estimation import _solve_normal, optimal_time, sensitivity_closed_form
+from .decay import DecayModel, optimal_time
+from .estimation import _solve_normal, sensitivity_closed_form
 from .probes import ProbeSpec
 
 __all__ = [

@@ -31,7 +31,7 @@ from .analysis import noise_sweep, reference_bounds, relative_resolution, scalin
 from .channel import GaussianMode, load_bd_calibration, overlap_gaussian
 from . import config
 from .config import CONFIG_TYPES, ConfigError, config_hash, load_config
-from .decay import DecayModel, Markovian, Quadratic, Tabulated
+from .decay import DecayModel, Markovian, Quadratic, Tabulated, optimal_time
 from .estimation import (
     SENSITIVITY_CSV_HEADER,
     FitError,
@@ -41,7 +41,6 @@ from .estimation import (
     fit_fringe,
     monte_carlo_errorbar,
     noise_subtract,
-    optimal_time_for_probe,
     sensitivity_from_fringe,
 )
 from .probes import (
@@ -113,7 +112,7 @@ def _visibility_for(cfg: config.FringeConfig, position: int) -> float:
 def _interrogation_time(cfg: config.FringeConfig, spec: ProbeSpec,
                         model: DecayModel) -> float:
     if cfg.interrogation_time == "opt":
-        return optimal_time_for_probe(spec, model)
+        return optimal_time(model, spec.fringe_frequency)
     return float(cfg.interrogation_time)
 
 
@@ -234,7 +233,7 @@ def _compare_montecarlo(cfg: config.CompareConfig, n: int, model_test: DecayMode
     results = {}
     counts = {}
     for tag, model in (("test", model_test), ("reference", model_ref)):
-        t = optimal_time_for_probe(spec, model)
+        t = optimal_time(model, spec.fringe_frequency)
         data = _sample(cfg, spec, model, t, "compare", n, tag)
         results[tag], counts[tag] = _bootstrapped(
             data, t, cfg.trials, _derived_seed(cfg.seed, "compare-mc", n, tag))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ._numpy import np
 from .tables import read_table
 
-__all__ = ["DecayModel", "Markovian", "Quadratic", "Tabulated"]
+__all__ = ["DecayModel", "Markovian", "Quadratic", "Tabulated", "optimal_time"]
 
 
 def _check_time(t: float) -> float:
@@ -38,7 +38,8 @@ class DecayModel:
 
     ``optimal_time(n)`` maximises ``t exp(-2 n gamma(t))`` in closed form:
     ``1 / (2 n rate)``, ``sqrt(1 / (4 n c))``, or for a table the best of the
-    per-segment roots ``1 / (2 n slope)``, each clipped to its segment.
+    per-segment roots ``1 / (2 n slope)``, each clipped to its segment; a
+    table that ends before ``2 n t slope`` reaches 1 is an error.
     """
 
     def gamma_at(self, t: float) -> float:
@@ -52,6 +53,15 @@ class DecayModel:
     def coherence_factor(self, t: float) -> float:
         """``exp(-gamma(t))``: equals 1 at ``t = 0``, non-increasing after."""
         return math.exp(-self.gamma_at(t))
+
+
+def optimal_time(model: DecayModel, n: int) -> float:
+    """Interrogation time maximising ``t exp(-2 n gamma(t))`` for fringe
+    frequency ``n >= 1``: ``model.optimal_time(n)``."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return model.optimal_time(n)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,6 @@ __all__ = [
     "SensitivityResult",
     "MonteCarloErrors",
     "working_point",
-    "optimal_time",
-    "optimal_time_for_probe",
     "sensitivity_closed_form",
     "closed_form_result",
     "fit_fringe",
@@ -65,25 +63,6 @@ def working_point(fringe_frequency: int) -> float:
     if m < 1:
         raise ValueError("fringe frequency must be >= 1")
     return math.pi / (2.0 * m)
-
-
-def optimal_time(model: DecayModel, n: int) -> float:
-    """Interrogation time maximising ``t exp(-2 N gamma(t))``.
-
-    The model solves it in closed form: ``1 / (2 N rate)`` (linear),
-    ``sqrt(1 / (4 N c))`` (quadratic), or for a table the best per-segment
-    root ``1 / (2 N slope)`` clipped to its segment; a table that ends
-    before ``2 N t slope`` reaches 1 is an error.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return model.optimal_time(n)
-
-
-def optimal_time_for_probe(spec: ProbeSpec, model: DecayModel) -> float:
-    """Optimum for the probe as operated: N joint qubits or one at a time."""
-    return optimal_time(model, spec.fringe_frequency)
 
 
 def sensitivity_closed_form(spec: ProbeSpec, model: DecayModel, t: float) -> float:

@@ -65,25 +65,33 @@ def write_table(path, comments, header, rows) -> None:
     ``float``.  ``rows`` is any iterable of rows, lazy ones included, and
     each row is a sequence as long as ``header`` (any other length raises
     ValueError, as the reader would refuse the line).  Rows are written to
-    the open file one at a time, so no copy of the whole text is built.
+    the open file one at a time, so no copy of the whole text is built.  If
+    writing fails, a refused row or a raising row source included, the
+    partial file is removed before the error propagates: the reader would
+    accept a truncated table as a whole one.
     """
     keys = [key for key, _ in comments]
     if len(set(keys)) != len(keys):
         raise ValueError(f"repeated comment key in {keys}")
     width = len(header)
-    with open(path, "w") as fh:
-        for key, value in comments:
-            fh.write(f"# {key}={_format_cell(value)}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(f"expected {width} columns, got {len(row)}")
-            try:
-                # the cell rule writes a str as itself
-                line = ",".join(row)
-            except TypeError:
-                line = ",".join(map(_format_cell, row))
-            fh.write(line + "\n")
+    fh = open(path, "w")
+    try:
+        with fh:
+            for key, value in comments:
+                fh.write(f"# {key}={_format_cell(value)}\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} columns, got {len(row)}")
+                try:
+                    # the cell rule writes a str as itself
+                    line = ",".join(row)
+                except TypeError:
+                    line = ",".join(map(_format_cell, row))
+                fh.write(line + "\n")
+    except BaseException:
+        Path(path).unlink()
+        raise
 
 
 def convert_cell(where, name, convert, cell):

@@ -16,10 +16,12 @@ import zenometry
 
 from test_cli import run_fresh
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 PUBLIC_NAMES = {
     "__version__",
     # decay
-    "DecayModel", "Markovian", "Quadratic", "Tabulated",
+    "DecayModel", "Markovian", "Quadratic", "Tabulated", "optimal_time",
     # channel
     "GaussianMode", "TabulatedMode", "CalibrationRow",
     "displacement_from_thickness", "overlap_gaussian", "overlap_numeric",
@@ -34,9 +36,8 @@ PUBLIC_NAMES = {
     "FringeDataset", "estimates_from_counts",
     # estimation
     "FitError", "FitResult", "SensitivityResult", "MonteCarloErrors",
-    "working_point", "optimal_time", "optimal_time_for_probe",
-    "sensitivity_closed_form", "closed_form_result", "fit_fringe",
-    "stencil_derivative", "sensitivity_from_fringe",
+    "working_point", "sensitivity_closed_form", "closed_form_result",
+    "fit_fringe", "stencil_derivative", "sensitivity_from_fringe",
     "monte_carlo_errorbar", "apply_monte_carlo_errors", "noise_subtract",
     # analysis
     "ScalingFit", "ReferenceBounds", "NoiseSweepResult",
@@ -49,14 +50,22 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned_and_listed_once():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert sorted(zenometry.__all__) == sorted(PUBLIC_NAMES)
+    assert zenometry.optimal_time is zenometry.decay.optimal_time
 
 
-# what perfbench/oracle_driver.py reads from the package
-ORACLE_NAMES = ("Quadratic", "optimal_time", "ghz_density_matrix",
-                "WhiteNoiseGhzParams", "ProbeSpec", "evolve_oracle",
-                "parity_expectation_dm", "parity_expectation_analytic")
+def _package_reads(path):
+    """The names ``path`` reads as ``zm.<name>``, sorted."""
+    return tuple(sorted({node.attr
+                         for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id == "zm"}))
+
+
+# what the oracle driver reads from the package
+ORACLE_NAMES = _package_reads(PERFBENCH / "oracle_driver.py")
 
 
 def test_submodules_load_on_first_use(tmp_path):
@@ -89,10 +98,11 @@ def test_submodules_load_on_first_use(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["on_import"] == []
-    assert {"zenometry.decay", "zenometry.probes",
-            "zenometry.estimation"} <= set(report["after_oracle_names"])
-    assert not {"zenometry.config", "zenometry.channel", "zenometry.analysis",
-                "hashlib"} & set(report["after_oracle_names"])
+    assert ORACLE_NAMES and set(ORACLE_NAMES) <= PUBLIC_NAMES
+    # the oracle's names load no fit, bootstrap, config or channel code
+    assert report["after_oracle_names"] == [
+        "zenometry._numpy", "zenometry.decay", "zenometry.fringes",
+        "zenometry.probes", "zenometry.rng", "zenometry.tables"]
     assert report["probes_is_module"]
     assert "'no_such_name'" in report["unknown"]
     assert report["star"] == sorted(PUBLIC_NAMES)
@@ -101,8 +111,8 @@ def test_submodules_load_on_first_use(tmp_path):
 
 def _tracer():
     """``perfbench/tracer.py``, loaded without installing its wrappers."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  PERFBENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -151,7 +161,6 @@ def test_benchmark_tracer_contract():
 def test_tracer_wraps_names_the_package_resolves_later(tmp_path):
     # the oracle driver reads its names from the package after the tracer
     # has installed; each must resolve to the wrapped function
-    root = Path(__file__).resolve().parent.parent / "perfbench"
     config = tmp_path / "oracle.ini"
     config.write_text("[oracle]\nn_values = 2..3\nomegas = 0.0, 0.7\n"
                       "fusion_visibility = 0.9\nmodel_coefficient = 1.0\n"
@@ -162,7 +171,7 @@ def test_tracer_wraps_names_the_package_resolves_later(tmp_path):
 
         def load(name):
             spec = importlib.util.spec_from_file_location(
-                name, {str(root)!r} + "/" + name + ".py")
+                name, {str(PERFBENCH)!r} + "/" + name + ".py")
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module

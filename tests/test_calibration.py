@@ -20,7 +20,7 @@ from zenometry import (
     Quadratic,
     fit_fringe,
     monte_carlo_errorbar,
-    optimal_time_for_probe,
+    optimal_time,
     sample_fringe,
     sensitivity_closed_form,
     sensitivity_from_fringe,
@@ -62,7 +62,7 @@ def case(n, shots):
     """Closed form, and per fringe: read-out, bootstrap variance, and
     delta-method variance."""
     spec = ProbeSpec("ghz", n, README_VISIBILITY[n])
-    t = optimal_time_for_probe(spec, MODEL)
+    t = optimal_time(MODEL, spec.fringe_frequency)
     d2, boot, delta = [], [], []
     for k in range(FRINGES):
         data = sample_fringe(spec, MODEL, t, GRID, shots, seed=1000 * n + k)

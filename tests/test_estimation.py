@@ -23,7 +23,6 @@ from zenometry import (
     monte_carlo_errorbar,
     noise_subtract,
     optimal_time,
-    optimal_time_for_probe,
     sample_fringe,
     sensitivity_closed_form,
     sensitivity_from_fringe,
@@ -223,6 +222,10 @@ class TestOptimalTime:
         with pytest.raises(ValueError, match="bracketed"):
             optimal_time(lazy, 2)
 
+    def test_fringe_frequency_must_be_positive(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            optimal_time(Quadratic(1.0), 0)
+
     def test_zero_rate_has_no_optimum(self):
         with pytest.raises(ValueError):
             optimal_time(Markovian(0.0), 2)
@@ -240,10 +243,10 @@ class TestOptimalTime:
 
     def test_probe_variant_uses_single_qubit_optimum(self):
         model = Quadratic(1.0)
-        assert optimal_time_for_probe(ProbeSpec("product", 6, 1.0), model) \
-            == optimal_time(model, 1)
-        assert optimal_time_for_probe(ProbeSpec("ghz", 6, 1.0), model) \
-            == optimal_time(model, 6)
+        for strategy, n in (("product", 1), ("ghz", 6)):
+            spec = ProbeSpec(strategy, 6, 1.0)
+            assert optimal_time(model, spec.fringe_frequency) \
+                == optimal_time(model, n)
 
 
 class TestClosedForms:
@@ -304,7 +307,7 @@ class TestClosedForms:
         model = Quadratic(0.7)
         for strategy, repetitions in (("ghz", 1), ("product", 4)):
             spec = ProbeSpec(strategy, 4, 0.95)
-            t = optimal_time_for_probe(spec, model)
+            t = optimal_time(model, spec.fringe_frequency)
             r = closed_form_result(spec, model, t)
             rebuilt = t * (1.0 - r.expectation_at_working_point**2) / (
                 repetitions * r.derivative_omega**2)
@@ -478,7 +481,7 @@ class TestPipeline:
         for strategy in ("ghz", "product"):
             for n in (1, 2, 4, 6):
                 spec = ProbeSpec(strategy, n, 1.0)
-                t = optimal_time_for_probe(spec, model)
+                t = optimal_time(model, spec.fringe_frequency)
                 grid = np.linspace(0.0, math.pi, 20 * spec.fringe_frequency + 5)
                 data = synthetic_fringe(spec, model, t, grid)
                 result = sensitivity_from_fringe(data, t)

@@ -25,7 +25,7 @@ from zenometry import (
     evolve_oracle,
     fidelity_bound,
     ghz_density_matrix,
-    optimal_time_for_probe,
+    optimal_time,
     parity_expectation_analytic,
     parity_expectation_dm,
     sample_fringe,
@@ -469,7 +469,7 @@ class TestQuantumFisher:
     OMEGA = 0.3
 
     def ratio(self, state, spec):
-        t = optimal_time_for_probe(spec, self.MODEL)
+        t = optimal_time(self.MODEL, spec.fringe_frequency)
         f_q = quantum_fisher(state, self.MODEL, self.OMEGA, t)
         return t / f_q / sensitivity_closed_form(spec, self.MODEL, t)
 

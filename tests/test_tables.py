@@ -238,7 +238,23 @@ def test_reader_rejects_a_repeated_comment_key(tmp_path):
 
 def test_writer_rejects_ragged_rows(tmp_path):
     # a row as wide as its neighbours but not the header is refused too:
-    # the reader would refuse the line it wrote
-    for rows in ([(1, 2), (3,)], [(1, 2, 3), (4, 5, 6)], [("1", "2", "3")]):
+    # the reader would refuse the line it wrote.  No file is left, as the
+    # reader would accept the rows before the refused one as a whole table.
+    path = tmp_path / "ragged.csv"
+    for rows in ([(1, 2), (3,)], [(1, 2), (3, 4), (5,)],
+                 [(1, 2, 3), (4, 5, 6)], [("1", "2", "3")]):
         with pytest.raises(ValueError, match="expected 2 columns"):
-            write_table(tmp_path / "ragged.csv", [], ("a", "b"), rows)
+            write_table(path, [], ("a", "b"), rows)
+        assert not path.exists()
+
+
+def test_failing_row_source_leaves_no_file(tmp_path):
+    def rows():
+        yield 1, 2
+        yield 3, 4
+        raise RuntimeError("source failed")
+
+    path = tmp_path / "partial.csv"
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_table(path, [("k", 1)], ("a", "b"), rows())
+    assert not path.exists()
