@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import record
 from .decay import DecayModel, optimal_time
 from .estimation import _solve_normal, sensitivity_closed_form
 from .probes import ProbeSpec
@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ScalingFit:
     """Power-law fit ``value = exp(intercept) * N**slope`` in log-log space."""
 
@@ -81,7 +81,7 @@ def scaling_fit(points) -> ScalingFit:
                       slope_stderr=math.sqrt(variance), chi2=chi2, dof=dof)
 
 
-@dataclass(frozen=True)
+@record
 class ReferenceBounds:
     """Reference ``d2omega_t`` curves under quadratic decay of coefficient c.
 
@@ -142,7 +142,7 @@ def relative_resolution(n: int, model_nm: DecayModel, model_m: DecayModel) -> fl
             / sensitivity_closed_form(spec, model_nm, t_nm))
 
 
-@dataclass(frozen=True)
+@record
 class NoiseSweepResult:
     """One visibility's sweep: columns with one entry per N, in given order.
 

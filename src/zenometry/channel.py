@@ -17,10 +17,10 @@ realises ``gamma = (x0/w)^2 / 2``.  Analyses that instead adopt the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 from ._numpy import np
+from ._record import record
 from .tables import read_table
 
 __all__ = [
@@ -54,7 +54,7 @@ def _simpson(f: np.ndarray, h: float) -> float:
     return float(total)
 
 
-@dataclass(frozen=True)
+@record
 class GaussianMode:
     """Gaussian spatial mode; ``waist`` is the 1/e^2 intensity radius."""
 
@@ -191,7 +191,7 @@ def measured_visibility(intensity_plus: float, intensity_minus: float) -> float:
     return (ip - im) / (ip + im)
 
 
-@dataclass(frozen=True)
+@record
 class CalibrationRow:
     """One measured calibration point of the displacer channel.
 

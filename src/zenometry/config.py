@@ -1,11 +1,12 @@
 """INI experiment configuration: one section and one config type per subcommand.
 
-``CONFIG_TYPES`` maps each subcommand to a frozen dataclass whose fields are
-exactly the keys its command reads; the annotations are the key table.  A
-section parses, validates, serializes and hashes only its own type's fields.
-A key that only another subcommand's type holds is dropped unread, so one
-body can serve several sections; an unknown section or key is rejected so a
-typo cannot silently fall back to a default.  A type's ``check(fail)`` calls
+``CONFIG_TYPES`` maps each subcommand to a frozen record type (``_record``)
+whose fields are exactly the keys its command reads; the annotations, base
+types first, are the key table and its order.  A section parses, validates,
+serializes and hashes only its own type's fields.  A key that only another
+subcommand's type holds is dropped unread, so one body can serve several
+sections; an unknown section or key is rejected so a typo cannot silently
+fall back to a default.  A type's ``check(fail)`` calls
 ``fail(key, message)``, which raises, on the first bad value; it checks the
 fields the type declares after ``super().check`` checks the inherited ones.
 A canonical serialization (every field written explicitly, fixed order,
@@ -19,9 +20,9 @@ import configparser
 import hashlib
 import math
 import typing
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from ._record import fields, record, replace
 from .channel import GaussianMode, load_bd_calibration
 from .decay import Tabulated
 from .fringes import _STRATEGIES
@@ -70,7 +71,7 @@ def _check_table(fail, key: str, path: str, load) -> None:
         fail(key, str(exc))
 
 
-@dataclass(frozen=True)
+@record
 class _Qubits:
     n_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 
@@ -81,7 +82,7 @@ class _Qubits:
             fail("n_values", "every qubit count must appear once")
 
 
-@dataclass(frozen=True)
+@record
 class _Sampling(_Qubits):
     model_kind: str = "quadratic"
     model_coefficient: float = 1.0
@@ -114,7 +115,7 @@ class _Sampling(_Qubits):
             fail("seed", "required when mode is montecarlo")
 
 
-@dataclass(frozen=True)
+@record
 class _Resampling(_Sampling):
     trials: int = 200
 
@@ -124,7 +125,7 @@ class _Resampling(_Sampling):
             fail("trials", f"must lie in [100, {TRIALS_LIMIT}]")
 
 
-@dataclass(frozen=True)
+@record
 class FringeConfig(_Sampling):
     """``[fringe]``: one parity fringe per qubit number, with its cosine fit."""
 
@@ -150,7 +151,7 @@ class FringeConfig(_Sampling):
                 fail("interrogation_time", "must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class ScalingConfig(FringeConfig, _Resampling):
     """``[scaling]``: the fringe keys, and the bootstrap's trial count."""
 
@@ -160,7 +161,7 @@ class ScalingConfig(FringeConfig, _Resampling):
             fail("interrogation_time", "must be positive for scaling")
 
 
-@dataclass(frozen=True)
+@record
 class CompareConfig(_Resampling):
     """``[compare-markovian]``: ideal GHZ probes, each at its own optimal time."""
 
@@ -174,7 +175,7 @@ class CompareConfig(_Resampling):
             fail("markovian_rate", "must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class NoiseSweepConfig:
     """``[noise-sweep]``: closed-form GHZ advantage per fusion visibility."""
 
@@ -197,7 +198,7 @@ class NoiseSweepConfig:
             fail("n_max", f"must lie in [1, {N_MAX_LIMIT}]")
 
 
-@dataclass(frozen=True)
+@record
 class WitnessConfig(_Qubits):
     """``[witness]``: a direct value, three setting values, or the oracle."""
 
@@ -235,7 +236,7 @@ class WitnessConfig(_Qubits):
                      f"{ORACLE_MAX_QUBITS} qubits")
 
 
-@dataclass(frozen=True)
+@record
 class CalibrationConfig:
     """``[channel-calibration]``: Gaussian waist and displacer table."""
 

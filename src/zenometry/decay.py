@@ -11,9 +11,9 @@ satisfies ``gamma(0) = 0`` and is non-decreasing in time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import record
 from .tables import read_table
 
 __all__ = ["DecayModel", "Markovian", "Quadratic", "Tabulated", "optimal_time"]
@@ -39,7 +39,8 @@ class DecayModel:
     ``optimal_time(n)`` maximises ``t exp(-2 n gamma(t))`` in closed form:
     ``1 / (2 n rate)``, ``sqrt(1 / (4 n c))``, or for a table the best of the
     per-segment roots ``1 / (2 n slope)``, each clipped to its segment; a
-    table that ends before ``2 n t slope`` reaches 1 is an error.
+    table that ends before ``2 n t slope`` reaches 1 is an error.  It refuses
+    ``n < 1`` for every model, then calls the model's ``_optimum(n)``.
     """
 
     def gamma_at(self, t: float) -> float:
@@ -47,7 +48,14 @@ class DecayModel:
         raise NotImplementedError
 
     def optimal_time(self, n: int) -> float:
-        """Time minimising ``2 n gamma(t) - ln t`` for fringe frequency ``n``."""
+        """Time minimising ``2 n gamma(t) - ln t`` for fringe frequency
+        ``n >= 1``."""
+        n = int(n)
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return self._optimum(n)
+
+    def _optimum(self, n: int) -> float:
         raise NotImplementedError
 
     def coherence_factor(self, t: float) -> float:
@@ -58,13 +66,10 @@ class DecayModel:
 def optimal_time(model: DecayModel, n: int) -> float:
     """Interrogation time maximising ``t exp(-2 n gamma(t))`` for fringe
     frequency ``n >= 1``: ``model.optimal_time(n)``."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return model.optimal_time(n)
 
 
-@dataclass(frozen=True)
+@record
 class Markovian(DecayModel):
     """``gamma(t) = rate * t``, the semigroup (memoryless) family."""
 
@@ -77,13 +82,13 @@ class Markovian(DecayModel):
     def gamma_at(self, t: float) -> float:
         return self.rate * _check_time(t)
 
-    def optimal_time(self, n: int) -> float:
+    def _optimum(self, n: int) -> float:
         if self.rate <= 0.0:
             raise ValueError("a zero-rate channel has no finite optimum")
         return _finite_optimum(1.0 / (2.0 * n * self.rate), "2 N rate", n)
 
 
-@dataclass(frozen=True)
+@record
 class Quadratic(DecayModel):
     """``gamma(t) = coefficient * t**2``, the short-time Zeno family."""
 
@@ -97,7 +102,7 @@ class Quadratic(DecayModel):
         t = _check_time(t)
         return self.coefficient * t * t
 
-    def optimal_time(self, n: int) -> float:
+    def _optimum(self, n: int) -> float:
         if self.coefficient <= 0.0:
             raise ValueError("a zero-coefficient channel has no finite optimum")
         return _finite_optimum(math.sqrt(1.0 / (4.0 * n * self.coefficient)),
@@ -151,7 +156,7 @@ class Tabulated(DecayModel):
             )
         return float(np.interp(t, self._times, self._gammas))
 
-    def optimal_time(self, n: int) -> float:
+    def _optimum(self, n: int) -> float:
         """``2 n gamma(t) - ln t`` is convex on each segment, so the clipped
         root (the right end at zero slope) is the segment's minimum; the
         lowest of these wins, the earliest on a tie."""

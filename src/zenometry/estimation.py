@@ -19,10 +19,10 @@ numerical primitive; no read-out uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NoReturn
 
 from ._numpy import np
+from ._record import record, replace
 from .decay import DecayModel
 from .fringes import FringeDataset, estimates_from_counts
 from .probes import ProbeSpec
@@ -92,7 +92,7 @@ SENSITIVITY_CSV_HEADER = ("N", "strategy", "t_opt", "d2omegaT", "fisher",
                           "stderr_fisher")
 
 
-@dataclass(frozen=True)
+@record
 class SensitivityResult:
     """One evaluated operating point of one probe."""
 
@@ -137,7 +137,7 @@ def closed_form_result(spec: ProbeSpec, model: DecayModel, t: float) -> Sensitiv
     )
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     """Weighted cosine fit ``A cos(m theta + phi)`` to one fringe."""
 
@@ -351,7 +351,7 @@ def sensitivity_from_fringe(data: FringeDataset, t: float) -> SensitivityResult:
     )
 
 
-@dataclass(frozen=True)
+@record
 class MonteCarloErrors:
     """Spread of pipeline outputs over count-resampled replicas."""
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import record, replace
 from .tables import convert_cell, read_table, write_table
 
 __all__ = ["FringeDataset", "estimates_from_counts"]
@@ -49,7 +48,7 @@ def _frozen_array(values, dtype):
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FringeDataset:
     """Measured (or synthesized) parity fringe over a phase grid.
 
@@ -190,4 +189,4 @@ class FringeDataset:
 
     def replace(self, **changes) -> "FringeDataset":
         """Copy with the given fields replaced (validation re-runs)."""
-        return dataclasses.replace(self, **changes)
+        return replace(self, **changes)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import InitVar, dataclass
 
 from ._numpy import np
+from ._record import InitVar, record
 from .decay import DecayModel
 from .fringes import _STRATEGIES, FringeDataset, estimates_from_counts
 from .rng import FRINGE_SETTINGS, StreamFamily
@@ -53,7 +53,7 @@ class CapacityError(ValueError):
     """Raised when a dense density-matrix exceeds the supported qubit count."""
 
 
-@dataclass(frozen=True)
+@record
 class ProbeSpec:
     """Probe strategy, qubit count, and initial fringe visibility."""
 
@@ -78,7 +78,7 @@ class ProbeSpec:
         return self.n_qubits if self.strategy == "ghz" else 1
 
 
-@dataclass(frozen=True)
+@record
 class WhiteNoiseGhzParams:
     """GHZ preparation diluted by white noise from imperfect fusion."""
 
@@ -116,7 +116,7 @@ class WhiteNoiseGhzParams:
         return witness_from_settings(0.5 * v + 0.5 * v, c, c)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DensityMatrix:
     """Validated dense N-qubit density matrix (read-only storage).
 

@@ -101,7 +101,7 @@ def test_submodules_load_on_first_use(tmp_path):
     assert ORACLE_NAMES and set(ORACLE_NAMES) <= PUBLIC_NAMES
     # the oracle's names load no fit, bootstrap, config or channel code
     assert report["after_oracle_names"] == [
-        "zenometry._numpy", "zenometry.decay", "zenometry.fringes",
+        "zenometry._numpy", "zenometry._record", "zenometry.decay", "zenometry.fringes",
         "zenometry.probes", "zenometry.rng", "zenometry.tables"]
     assert report["probes_is_module"]
     assert "'no_such_name'" in report["unknown"]

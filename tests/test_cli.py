@@ -10,7 +10,6 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ import zenometry.cli
 import zenometry.fringes
 import zenometry.tables
 from zenometry import sample_fringe
+from zenometry._record import fields
 from zenometry.analysis import noise_sweep, reference_bounds
 from zenometry.cli import _theta_grid, main
 from zenometry.config import CONFIG_TYPES, FringeConfig, config_hash, load_config
@@ -619,7 +619,8 @@ class TestRuntimeDependencies:
 
     def test_closed_form_commands_do_not_import_numpy(self, tmp_path):
         # numpy is imported on the first array operation, and these three
-        # commands make none
+        # commands make none; the record types generate no code, so
+        # ``dataclasses`` and ``inspect`` are never imported
         witness_ini = tmp_path / "witness.ini"
         witness_ini.write_text(
             "[witness]\nfusion_visibility = 0.95\nn_values = 2..12\n")
@@ -634,6 +635,8 @@ class TestRuntimeDependencies:
                                          *config])
                 assert rc == 0, command
             assert "numpy" not in sys.modules, "numpy was imported"
+            for name in ("dataclasses", "inspect"):
+                assert name not in sys.modules, f"{{name}} was imported"
             rc = zenometry.cli.main(["fringe", "--mode", "analytic",
                                      "--out", f"{{out}}/fringe"])
             assert rc == 0, "fringe"

@@ -3,7 +3,6 @@
 import hashlib
 import math
 import typing
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +17,7 @@ from zenometry import (
     parse_config_text,
     serialize_config,
 )
+from zenometry._record import fields
 from zenometry.config import (
     CalibrationConfig,
     CompareConfig,
@@ -346,6 +346,69 @@ def any_section(draw):
     return section, cls(**values)
 
 
+# serialize_config(cls(), section) of every config type: the field order
+# that config_sha256 hashes, pinned as text.
+DEFAULT_TEXTS = {
+    "fringe": (
+        "[fringe]\n"
+        "n_values = 1,2,3,4,5,6\n"
+        "model_kind = quadratic\n"
+        "model_coefficient = 1.0\n"
+        "model_csv = none\n"
+        "mode = analytic\n"
+        "seed = none\n"
+        "shots_per_setting = 1000000\n"
+        "theta_points = none\n"
+        "strategy = ghz\n"
+        "visibilities = none\n"
+        "interrogation_time = opt\n"),
+    "scaling": (
+        "[scaling]\n"
+        "n_values = 1,2,3,4,5,6\n"
+        "model_kind = quadratic\n"
+        "model_coefficient = 1.0\n"
+        "model_csv = none\n"
+        "mode = analytic\n"
+        "seed = none\n"
+        "shots_per_setting = 1000000\n"
+        "theta_points = none\n"
+        "trials = 200\n"
+        "strategy = ghz\n"
+        "visibilities = none\n"
+        "interrogation_time = opt\n"),
+    "compare-markovian": (
+        "[compare-markovian]\n"
+        "n_values = 1,2,3,4,5,6\n"
+        "model_kind = quadratic\n"
+        "model_coefficient = 1.0\n"
+        "model_csv = none\n"
+        "mode = analytic\n"
+        "seed = none\n"
+        "shots_per_setting = 1000000\n"
+        "theta_points = none\n"
+        "trials = 200\n"
+        "markovian_rate = 0.6065306597126334\n"),
+    "noise-sweep": (
+        "[noise-sweep]\n"
+        "model_kind = quadratic\n"
+        "model_coefficient = 1.0\n"
+        "fusion_visibilities = 0.9,0.95,0.99,1.0\n"
+        "n_max = 1000\n"),
+    "witness": (
+        "[witness]\n"
+        "n_values = 1,2,3,4,5,6\n"
+        "witness_value = none\n"
+        "x_expectation = none\n"
+        "p_all_zero = none\n"
+        "p_all_one = none\n"
+        "fusion_visibility = none\n"),
+    "channel-calibration": (
+        "[channel-calibration]\n"
+        "waist_mm = 1.05\n"
+        "table_csv = none\n"),
+}
+
+
 class TestSerialization:
     def test_all_fields_written_once(self):
         for section, cls in CONFIG_TYPES.items():
@@ -354,6 +417,11 @@ class TestSerialization:
             assert lines[0] == f"[{section}]"
             keys = [line.split(" = ")[0] for line in lines[1:]]
             assert keys == [f.name for f in fields(cls)]
+
+    def test_default_texts_are_pinned(self):
+        assert list(DEFAULT_TEXTS) == list(CONFIG_TYPES)
+        for section, cls in CONFIG_TYPES.items():
+            assert serialize_config(cls(), section) == DEFAULT_TEXTS[section]
 
     def test_round_trip_is_identity(self):
         cases = [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zenometry import Markovian, Quadratic, Tabulated
+from zenometry import Markovian, Quadratic, Tabulated, optimal_time
 
 TAB_SAMPLES = [(1.0, 0.3), (2.0, 0.8)]
 
@@ -106,6 +106,16 @@ class TestValidation:
                                "reciprocal leaves the float range"):
                 model.optimal_time(3)
         assert Quadratic(1e300).optimal_time(3) > 0.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("model", [Quadratic(1.0), Markovian(0.6),
+                                       Tabulated([(0.0, 0.0), (2.0, 2.0)])],
+                             ids=repr)
+    def test_optimum_refuses_fringe_frequency_below_one(self, model, n):
+        # the method and the module function refuse with the same message
+        for call in (model.optimal_time, lambda n: optimal_time(model, n)):
+            with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+                call(n)
 
     def test_tabulated_range_enforced(self):
         tab = Tabulated(TAB_SAMPLES)
